@@ -20,7 +20,14 @@ cd "$(dirname "$0")/.."
 
 echo "==== stage 1/6: tier-1 tests ===="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+# The tier-1 build is kept warning-free (-Wall -Wextra): any warning in
+# what this build compiles fails the stage.
+cmake --build build -j 2>&1 | tee build/tier1-build.log
+if grep -q "warning:" build/tier1-build.log; then
+    echo "ci: the tier-1 build emitted compiler warnings:" >&2
+    grep "warning:" build/tier1-build.log >&2
+    exit 1
+fi
 (cd build && ctest --output-on-failure -j)
 
 # Schedule-identity check + quick hot-path smoke on the default build.

@@ -73,6 +73,11 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
     for (const auto& op : loop.operations())
         has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
 
+    // Kernel-only code depends on the schedule alone: generate it on the
+    // first trip that runs it and reuse it for the rest. A failed
+    // generation leaves it unset, so each later trip retries and reports.
+    std::optional<codegen::KernelOnlyCode> kernel_only;
+
     for (const int trip : trips) {
         if (trip < 0)
             continue;
@@ -124,10 +129,11 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
             // No trip floor: the stage predicates make the kernel-only
             // schema valid at every trip count, including 0.
             compare("kernel_only", [&] {
-                const codegen::KernelOnlyCode kernel_only =
-                    codegen::generateKernelOnly(loop,
-                                                artifacts.outcome.schedule);
-                return sim::runKernelOnly(loop, kernel_only, spec);
+                if (!kernel_only) {
+                    kernel_only = codegen::generateKernelOnly(
+                        loop, artifacts.outcome.schedule);
+                }
+                return sim::runKernelOnly(loop, *kernel_only, spec);
             });
         }
     }

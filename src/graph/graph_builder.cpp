@@ -53,10 +53,11 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
 
     // Collect readers of each register for the non-DSA anti-dependences.
     for (const auto& op : loop.operations()) {
-        support::check(machine.supports(op.opcode),
-                       "machine '" + machine.name() +
-                           "' does not implement opcode " +
-                           ir::opcodeName(op.opcode));
+        support::check(machine.supports(op.opcode), [&] {
+            return "machine '" + machine.name() +
+                   "' does not implement opcode " +
+                   ir::opcodeName(op.opcode);
+        });
         for (const auto& read : registerReads(op)) {
             const ir::OpId def = loop.definingOp(read.reg);
             if (def < 0)

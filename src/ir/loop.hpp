@@ -55,6 +55,9 @@ class Loop
     /** Declare an array symbol; returns its id. */
     ArrayId addArray(ArrayInfo info);
 
+    /** Capacity for `operations` operations and `registers` registers. */
+    void reserve(int operations, int registers);
+
     /** Append an operation; its `id` field is assigned. Returns the id. */
     OpId addOperation(Operation operation);
 

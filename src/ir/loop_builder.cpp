@@ -13,26 +13,26 @@ RegId
 LoopBuilder::ensureRegister(const std::string& name, bool predicate,
                             bool live_in)
 {
-    auto it = regByName_.find(name);
-    if (it != regByName_.end())
-        return it->second;
+    const RegId found = registerIndex_.find(name, loop_.registers());
+    if (found >= 0)
+        return found;
     RegisterInfo info;
     info.name = name;
     info.isPredicate = predicate;
     info.isLiveIn = live_in;
     const RegId id = loop_.addRegister(std::move(info));
-    regByName_.emplace(name, id);
+    registerIndex_.addLast(loop_.registers());
     return id;
 }
 
 ArrayId
 LoopBuilder::ensureArray(const std::string& name)
 {
-    auto it = arrayByName_.find(name);
-    if (it != arrayByName_.end())
-        return it->second;
+    const ArrayId found = arrayIndex_.find(name, loop_.arrays());
+    if (found >= 0)
+        return found;
     const ArrayId id = loop_.addArray(ArrayInfo{name});
-    arrayByName_.emplace(name, id);
+    arrayIndex_.addLast(loop_.arrays());
     return id;
 }
 
@@ -50,14 +50,15 @@ LoopBuilder::recurrence(const std::string& name)
 }
 
 Operand
-LoopBuilder::reg(const std::string& name, int distance)
+LoopBuilder::reg(std::string_view name, int distance)
 {
-    auto it = regByName_.find(name);
-    support::check(it != regByName_.end(),
-                   "operand register '" + name +
-                       "' read before any definition; declare it with "
-                       "liveIn()/recurrence() or define it first");
-    return Operand::makeReg(it->second, distance);
+    const RegId id = registerIndex_.find(name, loop_.registers());
+    support::check(id >= 0, [&] {
+        return "operand register '" + std::string(name) +
+               "' read before any definition; declare it with "
+               "liveIn()/recurrence() or define it first";
+    });
+    return Operand::makeReg(id, distance);
 }
 
 Operand
@@ -193,6 +194,12 @@ LoopBuilder::closeLoopBackSubstituted(const std::string& counter, int factor)
     branch.sources = {reg(counter)};
     branch.comment = "loop-closing branch";
     append(std::move(branch));
+}
+
+void
+LoopBuilder::reserve(int symbols)
+{
+    loop_.reserve(symbols, symbols);
 }
 
 Loop

@@ -1,9 +1,11 @@
 #ifndef IMS_IR_LOOP_BUILDER_HPP
 #define IMS_IR_LOOP_BUILDER_HPP
 
+#include <algorithm>
+#include <functional>
 #include <initializer_list>
-#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/loop.hpp"
@@ -44,7 +46,7 @@ class LoopBuilder
     LoopBuilder& recurrence(const std::string& name);
 
     /** Operand reading register `name` from `distance` iterations back. */
-    Operand reg(const std::string& name, int distance = 0);
+    Operand reg(std::string_view name, int distance = 0);
 
     /** Immediate operand. */
     Operand imm(double value);
@@ -106,6 +108,12 @@ class LoopBuilder
     void closeLoopBackSubstituted(const std::string& counter = "n",
                                   int factor = 3);
 
+    /**
+     * Capacity hint: the loop will hold about `symbols` operations and as
+     * many registers.
+     */
+    void reserve(int symbols);
+
     /** Finalize: validate and return the loop (builder becomes empty). */
     Loop build();
 
@@ -116,9 +124,72 @@ class LoopBuilder
     /** Attach a pending guard-aware operation. */
     OpId append(Operation operation);
 
+    /**
+     * Open-addressed index from a symbol name to its id. It holds ids
+     * only and compares against the names the loop already stores, so a
+     * lookup builds no key string and an insert allocates only when the
+     * table doubles.
+     */
+    class SymbolIndex
+    {
+      public:
+        /** Id of the symbol called `name` in `symbols`, or -1. */
+        template <typename Symbol>
+        int
+        find(std::string_view name, const std::vector<Symbol>& symbols) const
+        {
+            if (slots_.empty())
+                return -1;
+            for (std::size_t k = slotOf(name);; k = next(k)) {
+                const int id = slots_[k];
+                if (id < 0 || symbols[id].name == name)
+                    return id;
+            }
+        }
+
+        /** Index the newest symbol, `symbols.back()`. */
+        template <typename Symbol>
+        void
+        addLast(const std::vector<Symbol>& symbols)
+        {
+            const int count = static_cast<int>(symbols.size());
+            if (2 * count > static_cast<int>(slots_.size())) {
+                slots_.assign(std::max<std::size_t>(16, 2 * slots_.size()),
+                              -1);
+                for (int id = 0; id + 1 < count; ++id)
+                    place(id, symbols[id].name);
+            }
+            place(count - 1, symbols.back().name);
+        }
+
+      private:
+        std::size_t
+        slotOf(std::string_view name) const
+        {
+            return std::hash<std::string_view>{}(name) & (slots_.size() - 1);
+        }
+
+        std::size_t
+        next(std::size_t k) const
+        {
+            return (k + 1) & (slots_.size() - 1);
+        }
+
+        void
+        place(int id, std::string_view name)
+        {
+            std::size_t k = slotOf(name);
+            while (slots_[k] >= 0)
+                k = next(k);
+            slots_[k] = id;
+        }
+
+        std::vector<int> slots_; // power-of-two size; -1 marks empty
+    };
+
     Loop loop_;
-    std::map<std::string, RegId> regByName_;
-    std::map<std::string, ArrayId> arrayByName_;
+    SymbolIndex registerIndex_;
+    SymbolIndex arrayIndex_;
 };
 
 } // namespace ims::ir

@@ -43,15 +43,35 @@ constexpr std::array<OpcodeDescriptor, 21> kDescriptors = {{
     {Opcode::kStop, "stop", 0, false, false, false, true},
 }};
 
+/** The table is indexed by the enum value; every row sits at its own. */
+constexpr bool
+tableInEnumOrder()
+{
+    for (std::size_t k = 0; k < kDescriptors.size(); ++k) {
+        if (static_cast<std::size_t>(kDescriptors[k].opcode) != k)
+            return false;
+    }
+    return true;
+}
+static_assert(tableInEnumOrder());
+
+constexpr bool
+sourcesWithinBound()
+{
+    for (const auto& d : kDescriptors) {
+        if (d.sources > kMaxSources)
+            return false;
+    }
+    return true;
+}
+static_assert(sourcesWithinBound());
+
 const OpcodeDescriptor&
 descriptor(Opcode opcode)
 {
-    for (const auto& d : kDescriptors) {
-        if (d.opcode == opcode)
-            return d;
-    }
-    assert(false && "unknown opcode");
-    return kDescriptors.back();
+    const auto index = static_cast<std::size_t>(opcode);
+    assert(index < kDescriptors.size() && "unknown opcode");
+    return kDescriptors[index];
 }
 
 } // namespace
@@ -63,7 +83,7 @@ opcodeName(Opcode opcode)
 }
 
 std::optional<Opcode>
-opcodeFromName(const std::string& name)
+opcodeFromName(std::string_view name)
 {
     for (const auto& d : kDescriptors) {
         if (name == d.name)

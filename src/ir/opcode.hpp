@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 namespace ims::ir {
 
@@ -63,7 +64,7 @@ inline constexpr int kNumOpcodes = static_cast<int>(Opcode::kStop) + 1;
 std::string opcodeName(Opcode opcode);
 
 /** Inverse of opcodeName; empty if the mnemonic is unknown. */
-std::optional<Opcode> opcodeFromName(const std::string& name);
+std::optional<Opcode> opcodeFromName(std::string_view name);
 
 /** True for kStart/kStop. */
 bool isPseudo(Opcode opcode);
@@ -79,6 +80,9 @@ bool definesPredicate(Opcode opcode);
 
 /** Number of register/immediate source operands the opcode expects. */
 int sourceCount(Opcode opcode);
+
+/** The largest sourceCount of any opcode (select: condition, a, b). */
+inline constexpr int kMaxSources = 3;
 
 } // namespace ims::ir
 

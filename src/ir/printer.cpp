@@ -1,52 +1,29 @@
 #include "ir/printer.hpp"
 
 #include <cmath>
-#include <cstdio>
-#include <sstream>
+
+#include "support/table.hpp"
 
 namespace ims::ir {
 
 namespace {
 
-/**
- * Shortest decimal form that round-trips the double through parsing.
- *
- * Printing must be a pure function of the value with exactly one spelling
- * per value — the content-addressed schedule cache keys on this text, so
- * print(parse(print(x))) == print(x) byte-for-byte is load-bearing. NaN
- * collapses to "nan" regardless of sign bit or payload (printf would emit
- * "-nan" for negative NaNs on glibc), infinities to "inf"/"-inf", and the
- * signbit check keeps "-0" distinct from "0" (the == comparison alone
- * treats them as equal).
- */
-std::string
-formatImmediate(double value)
+void
+appendOperand(std::string& out, const Loop& loop, const Operand& operand)
 {
-    if (std::isnan(value))
-        return "nan";
-    if (std::isinf(value))
-        return std::signbit(value) ? "-inf" : "inf";
-    char buffer[64];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-        double reparsed = 0.0;
-        std::sscanf(buffer, "%lf", &reparsed);
-        if (reparsed == value &&
-            std::signbit(reparsed) == std::signbit(value))
-            break;
+    if (!operand.isRegister()) {
+        out += '#';
+        // One spelling per value: the schedule cache keys on this text,
+        // so print(parse(print(x))) == print(x) byte-for-byte.
+        support::appendRoundTripDouble(out, operand.immediate);
+        return;
     }
-    return buffer;
-}
-
-std::string
-operandText(const Loop& loop, const Operand& operand)
-{
-    if (!operand.isRegister())
-        return "#" + formatImmediate(operand.immediate);
-    std::string text = loop.reg(operand.reg).name;
-    if (operand.distance > 0)
-        text += "[" + std::to_string(operand.distance) + "]";
-    return text;
+    out += loop.reg(operand.reg).name;
+    if (operand.distance > 0) {
+        out += '[';
+        out += std::to_string(operand.distance);
+        out += ']';
+    }
 }
 
 } // namespace
@@ -54,8 +31,11 @@ operandText(const Loop& loop, const Operand& operand)
 std::string
 printLoop(const Loop& loop)
 {
-    std::ostringstream out;
-    out << "loop " << loop.name() << "\n";
+    std::string out;
+    out.reserve(32 * (loop.size() + 2));
+    out += "loop ";
+    out += loop.name();
+    out += '\n';
 
     // Declarations: only live-in registers need declaring (the parser
     // creates plain registers and arrays on first mention). "recurrence"
@@ -66,31 +46,43 @@ printLoop(const Loop& loop)
         if (!info.isLiveIn)
             continue;
         if (info.isPredicate)
-            out << "predicate " << info.name << "\n";
+            out += "predicate ";
         else if (loop.definingOp(reg) >= 0)
-            out << "recurrence " << info.name << "\n";
+            out += "recurrence ";
         else
-            out << "livein " << info.name << "\n";
+            out += "livein ";
+        out += info.name;
+        out += '\n';
     }
 
     for (const Operation& op : loop.operations()) {
-        out << (op.hasDest() ? loop.reg(op.dest).name : std::string("_"))
-            << " = " << opcodeName(op.opcode);
+        if (op.hasDest())
+            out += loop.reg(op.dest).name;
+        else
+            out += '_';
+        out += " = ";
+        out += opcodeName(op.opcode);
         for (std::size_t i = 0; i < op.sources.size(); ++i) {
-            out << (i == 0 ? " " : ", ")
-                << operandText(loop, op.sources[i]);
+            out += i == 0 ? " " : ", ";
+            appendOperand(out, loop, op.sources[i]);
         }
         if (op.memRef) {
-            out << " @ " << loop.arrays()[op.memRef->array].name << " "
-                << op.memRef->offset;
-            if (op.memRef->stride != 1)
-                out << " " << op.memRef->stride;
+            out += " @ ";
+            out += loop.arrays()[op.memRef->array].name;
+            out += ' ';
+            out += std::to_string(op.memRef->offset);
+            if (op.memRef->stride != 1) {
+                out += ' ';
+                out += std::to_string(op.memRef->stride);
+            }
         }
-        if (op.guard)
-            out << " if " << operandText(loop, *op.guard);
-        out << "\n";
+        if (op.guard) {
+            out += " if ";
+            appendOperand(out, loop, *op.guard);
+        }
+        out += '\n';
     }
-    return out.str();
+    return out;
 }
 
 bool

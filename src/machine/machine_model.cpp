@@ -25,16 +25,19 @@ MachineModel::MachineModel(std::string name,
         }
     }
     for (auto& [opcode, info] : opcodes) {
-        support::check(!info.alternatives.empty(),
-                       "opcode " + ir::opcodeName(opcode) +
-                           " has no alternatives");
+        support::check(!info.alternatives.empty(), [&] {
+            return "opcode " + ir::opcodeName(opcode) +
+                   " has no alternatives";
+        });
         for (const auto& alt : info.alternatives) {
             for (const auto& use : alt.table.uses()) {
                 support::check(use.resource >= 0 &&
                                    use.resource < numResources(),
-                               "reservation table for " +
-                                   ir::opcodeName(opcode) +
-                                   " uses undeclared resource");
+                               [&] {
+                                   return "reservation table for " +
+                                          ir::opcodeName(opcode) +
+                                          " uses undeclared resource";
+                               });
             }
         }
         infoByOpcode_[static_cast<std::size_t>(opcode)] = std::move(info);

@@ -1,6 +1,7 @@
 #include "program/program_executor.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 #include <set>
 #include <sstream>
@@ -23,14 +24,17 @@ isControlVar(const std::string& name)
     return !name.empty() && name[0] == kControlVarPrefix;
 }
 
+/** `who()` names the reader in the error message; called only on failure. */
+template <typename Who>
 sim::Value
 readVariable(const Variables& variables, const std::string& name,
-             const std::string& who)
+             const Who& who)
 {
     const auto it = variables.find(name);
-    support::check(it != variables.end(),
-                   who + " reads undefined program variable '" + name +
-                       "'");
+    support::check(it != variables.end(), [&] {
+        return who() + " reads undefined program variable '" + name +
+               "'";
+    });
     return it->second;
 }
 
@@ -94,17 +98,20 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
     for (const auto& reg : loop.body.registers()) {
         if (!reg.isLiveIn)
             continue;
-        spec.liveIn[reg.name] = readVariable(
-            variables, loop.liveInVar(reg.name),
-            "loop '" + loop.body.name() + "' live-in '" + reg.name + "'");
+        spec.liveIn[reg.name] =
+            readVariable(variables, loop.liveInVar(reg.name), [&] {
+                return "loop '" + loop.body.name() + "' live-in '" +
+                       reg.name + "'";
+            });
     }
     for (const auto& [reg, vars] : loop.seedBindings) {
         std::vector<sim::Value> seeds;
         seeds.reserve(vars.size());
         for (const auto& var : vars) {
-            seeds.push_back(readVariable(variables, var,
-                                         "loop '" + loop.body.name() +
-                                             "' seed for '" + reg + "'"));
+            seeds.push_back(readVariable(variables, var, [&] {
+                return "loop '" + loop.body.name() + "' seed for '" + reg +
+                       "'";
+            }));
         }
         spec.seeds[reg] = std::move(seeds);
     }
@@ -151,10 +158,11 @@ applyLoopOutputs(const LoopSection& loop,
     if (trip >= 1 && !loop.hasEarlyExit()) {
         for (const auto& [var, reg] : loop.outputs) {
             const auto it = final_registers.find(reg);
-            support::check(it != final_registers.end(),
-                           "loop '" + loop.body.name() + "' output '" +
-                               var + "': register '" + reg +
-                               "' has no final value");
+            support::check(it != final_registers.end(), [&] {
+                return "loop '" + loop.body.name() + "' output '" +
+                       var + "': register '" + reg +
+                       "' has no final value";
+            });
             variables[var] = it->second;
         }
     }
@@ -170,26 +178,30 @@ void
 runStatement(const Block& block, const Statement& statement,
              Variables& variables, ArrayStore& store)
 {
-    const std::string who =
-        "block '" + block.name + "' statement '" +
-        ir::opcodeName(statement.opcode) + "'";
+    const auto who = [&] {
+        return "block '" + block.name + "' statement '" +
+               ir::opcodeName(statement.opcode) + "'";
+    };
     if (statement.opcode == ir::Opcode::kLoad) {
         variables[statement.dest] =
             readCell(store, statement.array, statement.index);
         return;
     }
-    std::vector<sim::Value> sources;
-    sources.reserve(statement.sources.size());
+    assert(statement.sources.size() <=
+           static_cast<std::size_t>(ir::kMaxSources));
+    sim::Value sources[ir::kMaxSources];
+    int count = 0;
     for (const auto& source : statement.sources) {
-        sources.push_back(source.isVariable()
-                              ? readVariable(variables, source.var, who)
-                              : source.immediate);
+        sources[count++] = source.isVariable()
+                               ? readVariable(variables, source.var, who)
+                               : source.immediate;
     }
     if (statement.opcode == ir::Opcode::kStore) {
         store[statement.array][statement.index] = sources[0];
         return;
     }
-    variables[statement.dest] = sim::evaluate(statement.opcode, sources);
+    variables[statement.dest] =
+        sim::evaluate(statement.opcode, sources, count);
 }
 
 // ---------------------------------------------------------------------
@@ -232,8 +244,9 @@ struct BlockRun
                 deferred[id] = 1;
                 continue;
             }
-            regs[id] = readVariable(variables, compiled.body.reg(id).name,
-                                    "block '" + compiled.name + "'");
+            regs[id] =
+                readVariable(variables, compiled.body.reg(id).name,
+                             [&] { return "block '" + compiled.name + "'"; });
             written[id] = 1;
         }
     }
@@ -245,8 +258,9 @@ struct BlockRun
         for (ir::RegId id = 0; id < block->body.numRegisters(); ++id) {
             if (!deferred[id])
                 continue;
-            regs[id] = readVariable(variables, block->body.reg(id).name,
-                                    "block '" + block->name + "'");
+            regs[id] =
+                readVariable(variables, block->body.reg(id).name,
+                             [&] { return "block '" + block->name + "'"; });
             written[id] = 1;
             deferred[id] = 0;
         }
@@ -257,16 +271,18 @@ struct BlockRun
     {
         if (!op.isRegister())
             return op.immediate;
-        support::check(!deferred[op.reg],
-                       "block '" + block->name + "' reads variable '" +
-                           block->body.reg(op.reg).name +
-                           "' before the loop marshaled it out "
-                           "(compression eligibility bug)");
-        support::check(written[op.reg],
-                       "block '" + block->name + "' reads register '" +
-                           block->body.reg(op.reg).name +
-                           "' before its definition executed (schedule "
-                           "bug)");
+        support::check(!deferred[op.reg], [&] {
+            return "block '" + block->name + "' reads variable '" +
+                   block->body.reg(op.reg).name +
+                   "' before the loop marshaled it out "
+                   "(compression eligibility bug)";
+        });
+        support::check(written[op.reg], [&] {
+            return "block '" + block->name + "' reads register '" +
+                   block->body.reg(op.reg).name +
+                   "' before its definition executed (schedule "
+                   "bug)";
+        });
         return regs[op.reg];
     }
 
@@ -293,11 +309,13 @@ struct BlockRun
                 if (op.isLoad()) {
                     result = readCell(store, array, op.memRef->offset);
                 } else {
-                    std::vector<sim::Value> sources;
-                    sources.reserve(op.sources.size());
+                    assert(op.sources.size() <=
+                           static_cast<std::size_t>(ir::kMaxSources));
+                    sim::Value sources[ir::kMaxSources];
+                    int count = 0;
                     for (const auto& source : op.sources)
-                        sources.push_back(operand(source));
-                    result = sim::evaluate(op.opcode, sources);
+                        sources[count++] = operand(source);
+                    result = sim::evaluate(op.opcode, sources, count);
                 }
                 regs[op.dest] = result;
                 written[op.dest] = 1;
@@ -320,12 +338,13 @@ struct BlockRun
 };
 
 long long
-roundedCount(sim::Value value, const std::string& what)
+roundedCount(sim::Value value, const char* what)
 {
     const long long count = std::llround(value);
-    support::check(std::isfinite(value) && count >= 0,
-                   what + " must be a non-negative count, got " +
-                       std::to_string(value));
+    support::check(std::isfinite(value) && count >= 0, [&] {
+        return std::string(what) + " must be a non-negative count, got " +
+               std::to_string(value);
+    });
     return count;
 }
 
@@ -453,9 +472,8 @@ runProgramCompiled(const CompiledProgram& compiled,
                 const int iter = rep - placement.stage;
                 if (iter < 0 || iter >= trip)
                     continue;
-                sim::executeOpInstance(body, body.operation(placement.op),
-                                       iter, registers, memory,
-                                       store_phase);
+                sim::executeOpInstance(body.operation(placement.op), iter,
+                                       registers, memory, store_phase);
             }
         }
     };
@@ -476,16 +494,16 @@ runProgramCompiled(const CompiledProgram& compiled,
 
     // The EC/LC registers were computed by the lowered statements above;
     // their values now control the remaining phases.
+    const auto loop_control = [] { return std::string("loop control"); };
     const long long lc = roundedCount(
-        readVariable(variables, compiled.control.lc, "loop control"),
-        "$lc");
+        readVariable(variables, compiled.control.lc, loop_control), "$lc");
     const long long ec = roundedCount(
-        readVariable(variables, compiled.control.ec, "loop control"),
-        "$ec");
-    support::check(lc + ec == trip,
-                   "EC/LC lowering is inconsistent: lc + ec = " +
-                       std::to_string(lc + ec) + " but trip = " +
-                       std::to_string(trip));
+        readVariable(variables, compiled.control.ec, loop_control), "$ec");
+    support::check(lc + ec == trip, [&] {
+        return "EC/LC lowering is inconsistent: lc + ec = " +
+               std::to_string(lc + ec) + " but trip = " +
+               std::to_string(trip);
+    });
 
     // Steady state: $lc unpredicated repetitions.
     for (long long s = 0; s < lc; ++s) {

@@ -21,8 +21,9 @@ ModelRegistry::registerModel(const std::string& name,
                              machine::MachineModel model)
 {
     std::string text = machine::printMachine(model);
+    const support::Fnv1aText text_hash(text);
     auto entry = std::make_shared<RegisteredModel>(
-        RegisteredModel{std::move(model), std::move(text)});
+        RegisteredModel{std::move(model), std::move(text), text_hash});
     const std::lock_guard<std::mutex> lock(mutex_);
     models_[name] = std::move(entry);
 }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "machine/machine_model.hpp"
+#include "support/hash.hpp"
 
 namespace ims::service {
 
@@ -21,6 +22,8 @@ struct RegisteredModel
      * at registration so request handling never re-prints the model.
      */
     std::string canonicalText;
+    /** canonicalText's share of every cache-key digest, precomputed. */
+    support::Fnv1aText canonicalTextHash;
 };
 
 /**

@@ -1,43 +1,25 @@
 #include "service/options_codec.hpp"
 
-#include <cmath>
-#include <cstdio>
 #include <sstream>
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace ims::service {
 
 namespace {
 
-/** Shortest decimal form that round-trips the double (cf. ir/printer). */
-std::string
-formatDoubleKey(double value)
+void
+appendTrips(std::string& out, const std::vector<int>& trips)
 {
-    if (std::isnan(value))
-        return "nan";
-    if (std::isinf(value))
-        return std::signbit(value) ? "-inf" : "inf";
-    char buffer[64];
-    for (int precision = 1; precision <= 17; ++precision) {
-        std::snprintf(buffer, sizeof buffer, "%.*g", precision, value);
-        double reparsed = 0.0;
-        std::sscanf(buffer, "%lf", &reparsed);
-        if (reparsed == value &&
-            std::signbit(reparsed) == std::signbit(value))
-            break;
+    if (trips.empty())
+        out += '-';
+    for (std::size_t i = 0; i < trips.size(); ++i) {
+        if (i > 0)
+            out += ',';
+        out += std::to_string(trips[i]);
     }
-    return buffer;
-}
-
-std::string
-tripsText(const std::vector<int>& trips)
-{
-    std::string out;
-    for (std::size_t i = 0; i < trips.size(); ++i)
-        out += (i > 0 ? "," : "") + std::to_string(trips[i]);
-    return out.empty() ? "-" : out;
 }
 
 std::vector<int>
@@ -69,26 +51,33 @@ std::string
 canonicalOptionsText(const core::PipelinerOptions& options)
 {
     const auto& schedule = options.schedule;
-    std::ostringstream out;
-    out << "strategy " << sched::schedulerStrategyName(schedule.strategy)
-        << "\n"
-        << "budget_ratio " << formatDoubleKey(schedule.search.budgetRatio)
-        << "\n"
-        << "max_ii_increase " << schedule.search.maxIiIncrease << "\n"
-        << "priority " << sched::prioritySchemeName(schedule.priority)
-        << "\n"
-        << "forward_progress " << (schedule.forwardProgressRule ? 1 : 0)
-        << "\n"
-        << "random_seed " << schedule.randomSeed << "\n"
-        << "exact_node_budget " << schedule.exactNodeBudget << "\n"
-        << "delay_mode " << graph::delayModeName(options.graph.delayMode)
-        << "\n"
-        << "dsa_form " << (options.graph.dsaForm ? 1 : 0) << "\n"
-        << "verify " << (options.verify ? 1 : 0) << "\n"
-        << "verify_sim " << (options.verifySim ? 1 : 0) << "\n"
-        << "verify_sim_trips " << tripsText(options.verifySimTrips) << "\n"
-        << "verify_sim_seed " << options.verifySimSeed << "\n";
-    return out.str();
+    std::string out;
+    out.reserve(256);
+    const auto line = [&out](const char* key, const std::string& value) {
+        out += key;
+        out += ' ';
+        out += value;
+        out += '\n';
+    };
+    const auto flag = [](bool on) { return std::string(on ? "1" : "0"); };
+    line("strategy", sched::schedulerStrategyName(schedule.strategy));
+    out += "budget_ratio ";
+    support::appendRoundTripDouble(out, schedule.search.budgetRatio);
+    out += '\n';
+    line("max_ii_increase", std::to_string(schedule.search.maxIiIncrease));
+    line("priority", sched::prioritySchemeName(schedule.priority));
+    line("forward_progress", flag(schedule.forwardProgressRule));
+    line("random_seed", std::to_string(schedule.randomSeed));
+    line("exact_node_budget", std::to_string(schedule.exactNodeBudget));
+    line("delay_mode", graph::delayModeName(options.graph.delayMode));
+    line("dsa_form", flag(options.graph.dsaForm));
+    line("verify", flag(options.verify));
+    line("verify_sim", flag(options.verifySim));
+    out += "verify_sim_trips ";
+    appendTrips(out, options.verifySimTrips);
+    out += '\n';
+    line("verify_sim_seed", std::to_string(options.verifySimSeed));
+    return out;
 }
 
 core::PipelinerOptions
@@ -103,16 +92,18 @@ parseOptionsText(const std::string& text)
         if (line.empty())
             continue;
         const auto space = line.find(' ');
-        support::check(space != std::string::npos,
-                       "options text line " + std::to_string(line_no) +
-                           ": expected 'key value'");
+        support::check(space != std::string::npos, [&] {
+            return "options text line " + std::to_string(line_no) +
+                   ": expected 'key value'";
+        });
         const std::string key = line.substr(0, space);
         const std::string value = line.substr(space + 1);
         try {
             if (key == "strategy") {
                 const auto strategy = sched::schedulerStrategyByName(value);
-                support::check(strategy.has_value(),
-                               "unknown strategy '" + value + "'");
+                support::check(strategy.has_value(), [&] {
+                    return "unknown strategy '" + value + "'";
+                });
                 options.schedule.strategy = *strategy;
             } else if (key == "budget_ratio") {
                 options.schedule.search.budgetRatio = std::stod(value);
@@ -120,8 +111,9 @@ parseOptionsText(const std::string& text)
                 options.schedule.search.maxIiIncrease = std::stoi(value);
             } else if (key == "priority") {
                 const auto scheme = sched::prioritySchemeByName(value);
-                support::check(scheme.has_value(),
-                               "unknown priority '" + value + "'");
+                support::check(scheme.has_value(), [&] {
+                    return "unknown priority '" + value + "'";
+                });
                 options.schedule.priority = *scheme;
             } else if (key == "forward_progress") {
                 options.schedule.forwardProgressRule = value == "1";
@@ -131,8 +123,9 @@ parseOptionsText(const std::string& text)
                 options.schedule.exactNodeBudget = std::stoll(value);
             } else if (key == "delay_mode") {
                 const auto mode = graph::delayModeByName(value);
-                support::check(mode.has_value(),
-                               "unknown delay mode '" + value + "'");
+                support::check(mode.has_value(), [&] {
+                    return "unknown delay mode '" + value + "'";
+                });
                 options.graph.delayMode = *mode;
             } else if (key == "dsa_form") {
                 options.graph.dsaForm = value == "1";

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "core/report.hpp"
@@ -15,6 +16,25 @@ namespace {
 /** Component separator for the key material: never appears in the
  *  canonical texts (they are printable-ASCII line-oriented formats). */
 constexpr char kSeparator = '\x1f';
+
+/**
+ * FNV-1a of the components and their separators, streamed: the digest
+ * of material() without building the joined copy. `machine` is the
+ * machine text or its precomputed Fnv1aText.
+ */
+std::uint64_t
+keyDigest(std::string_view loop_text, const auto& machine,
+          std::string_view options_text)
+{
+    const std::string_view separator(&kSeparator, 1);
+    return support::Fnv1a()
+        .update(loop_text)
+        .update(separator)
+        .update(machine)
+        .update(separator)
+        .update(options_text)
+        .digest();
+}
 
 } // namespace
 
@@ -40,7 +60,21 @@ CacheKey::make(std::string loop_text, std::string machine_text,
     key.loopText = std::move(loop_text);
     key.machineText = std::move(machine_text);
     key.optionsText = std::move(options_text);
-    key.hash = support::fnv1a(key.material());
+    key.hash = keyDigest(key.loopText, std::string_view(key.machineText),
+                         key.optionsText);
+    return key;
+}
+
+CacheKey
+CacheKey::make(std::string loop_text, const RegisteredModel& model,
+               std::string options_text)
+{
+    CacheKey key;
+    key.loopText = std::move(loop_text);
+    key.machineText = model.canonicalText;
+    key.optionsText = std::move(options_text);
+    key.hash = keyDigest(key.loopText, model.canonicalTextHash,
+                         key.optionsText);
     return key;
 }
 
@@ -171,8 +205,9 @@ ScheduleCache::parseSaveText(const std::string& text)
     std::istringstream in(text);
     std::string header;
     std::getline(in, header);
-    support::check(header == "ims-schedule-cache v1",
-                   "cache file: unknown header '" + header + "'");
+    support::check(header == "ims-schedule-cache v1", [&] {
+        return "cache file: unknown header '" + header + "'";
+    });
 
     std::vector<CacheKey> keys;
     std::string line;
@@ -185,8 +220,9 @@ ScheduleCache::parseSaveText(const std::string& text)
         std::size_t machine_bytes = 0;
         std::size_t options_bytes = 0;
         entry >> directive >> loop_bytes >> machine_bytes >> options_bytes;
-        support::check(directive == "entry" && !entry.fail(),
-                       "cache file: malformed entry line '" + line + "'");
+        support::check(directive == "entry" && !entry.fail(), [&] {
+            return "cache file: malformed entry line '" + line + "'";
+        });
         const auto read_block = [&in](std::size_t bytes) {
             std::string block(bytes, '\0');
             in.read(block.data(), static_cast<std::streamsize>(bytes));

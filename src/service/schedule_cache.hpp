@@ -13,6 +13,7 @@
 #include "core/pipeliner.hpp"
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
+#include "service/model_registry.hpp"
 
 namespace ims::service {
 
@@ -35,6 +36,14 @@ struct CacheKey
 
     /** Build a key and compute its digest. */
     static CacheKey make(std::string loop_text, std::string machine_text,
+                         std::string options_text);
+
+    /**
+     * The same key as make(loop_text, model.canonicalText, options_text),
+     * with the machine text's share of the digest taken precomputed from
+     * model.canonicalTextHash: a request hashes only its own texts.
+     */
+    static CacheKey make(std::string loop_text, const RegisteredModel& model,
                          std::string options_text);
 };
 

@@ -101,8 +101,7 @@ ScheduleService::handle(const ServiceRequest& request, double queue_seconds)
 
     const core::PipelinerOptions& effective =
         request.options ? *request.options : options_.pipeline;
-    const CacheKey key = CacheKey::make(std::move(canonical_loop),
-                                        model->canonicalText,
+    const CacheKey key = CacheKey::make(std::move(canonical_loop), *model,
                                         canonicalOptionsText(effective));
     response.key = key.hash;
 
@@ -279,19 +278,24 @@ ScheduleService::loadCacheText(const std::string& text)
         // any mismatch means the file was edited or corrupted and the
         // entry would be keyed inconsistently.
         const ir::Loop loop = ir::parseLoop(saved.loopText);
-        support::check(ir::printLoop(loop) == saved.loopText,
-                       "cache file: non-canonical loop text for entry " +
-                           loop.name());
+        support::check(ir::printLoop(loop) == saved.loopText, [&] {
+            return "cache file: non-canonical loop text for entry " +
+                   loop.name();
+        });
         const machine::MachineModel machine =
             machine::parseMachine(saved.machineText);
         support::check(machine::printMachine(machine) == saved.machineText,
-                       "cache file: non-canonical machine text for entry " +
-                           loop.name());
+                       [&] {
+                           return "cache file: non-canonical machine text "
+                                  "for entry " +
+                                  loop.name();
+                       });
         const core::PipelinerOptions options =
             parseOptionsText(saved.optionsText);
-        support::check(canonicalOptionsText(options) == saved.optionsText,
-                       "cache file: non-canonical options text for entry " +
-                           loop.name());
+        support::check(canonicalOptionsText(options) == saved.optionsText, [&] {
+            return "cache file: non-canonical options text for entry " +
+                   loop.name();
+        });
 
         const core::SoftwarePipeliner pipeliner(machine, options);
         core::PipelineResult result =

@@ -126,11 +126,7 @@ runPipelined(const ir::Loop& loop, const sched::ScheduleResult& schedule,
                 result = memory.read(op.memRef->array,
                                      op.memRef->stride * iter + op.memRef->offset);
             } else {
-                std::vector<Value> sources;
-                sources.reserve(op.sources.size());
-                for (const auto& src : op.sources)
-                    sources.push_back(registers.readOperand(src, iter));
-                result = evaluate(op.opcode, sources);
+                result = registers.compute(op, iter);
             }
         }
         registers.write(op.dest, iter, result);

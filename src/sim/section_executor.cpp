@@ -8,9 +8,8 @@
 namespace ims::sim {
 
 void
-executeOpInstance(const ir::Loop& loop, const ir::Operation& op, int iter,
-                  RegisterFile& registers, Memory& memory,
-                  bool store_phase)
+executeOpInstance(const ir::Operation& op, int iter, RegisterFile& registers,
+                  Memory& memory, bool store_phase)
 {
     if (op.opcode == ir::Opcode::kBranch)
         return;
@@ -38,11 +37,7 @@ executeOpInstance(const ir::Loop& loop, const ir::Operation& op, int iter,
                                  op.memRef->stride * iter +
                                      op.memRef->offset);
         } else {
-            std::vector<Value> sources;
-            sources.reserve(op.sources.size());
-            for (const auto& src : op.sources)
-                sources.push_back(registers.readOperand(src, iter));
-            result = evaluate(op.opcode, sources);
+            result = registers.compute(op, iter);
         }
     }
     registers.write(op.dest, iter, result);
@@ -63,8 +58,8 @@ executeSection(const ir::Loop& loop, const codegen::CodeSection& section,
                 const int iter = iteration_base + instance.iterationOffset;
                 if (iter < 0 || iter >= trip)
                     continue;
-                executeOpInstance(loop, loop.operation(instance.op), iter,
-                                registers, memory, store_phase);
+                executeOpInstance(loop.operation(instance.op), iter,
+                                  registers, memory, store_phase);
             }
         }
     }
@@ -151,8 +146,8 @@ runKernelOnly(const ir::Loop& loop, const codegen::KernelOnlyCode& code,
                     const int iter = rep - placement.stage;
                     if (iter < 0 || iter >= trip)
                         continue;
-                    executeOpInstance(loop, loop.operation(placement.op),
-                                    iter, registers, memory, store_phase);
+                    executeOpInstance(loop.operation(placement.op), iter,
+                                      registers, memory, store_phase);
                 }
             }
         }

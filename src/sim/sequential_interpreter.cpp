@@ -106,11 +106,7 @@ runSequential(const ir::Loop& loop, const SimSpec& spec)
                     result = memory.read(op.memRef->array,
                                          op.memRef->stride * iter + op.memRef->offset);
                 } else {
-                    std::vector<Value> sources;
-                    sources.reserve(op.sources.size());
-                    for (const auto& src : op.sources)
-                        sources.push_back(registers.readOperand(src, iter));
-                    result = evaluate(op.opcode, sources);
+                    result = registers.compute(op, iter);
                 }
             }
             registers.write(op.dest, iter, result);

@@ -8,9 +8,9 @@
 namespace ims::sim {
 
 Value
-evaluate(ir::Opcode opcode, const std::vector<Value>& sources)
+evaluate(ir::Opcode opcode, const Value* sources, [[maybe_unused]] int count)
 {
-    assert(static_cast<int>(sources.size()) == ir::sourceCount(opcode));
+    assert(count == ir::sourceCount(opcode));
     using ir::Opcode;
     switch (opcode) {
       case Opcode::kAdd:

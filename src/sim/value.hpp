@@ -1,8 +1,6 @@
 #ifndef IMS_SIM_VALUE_HPP
 #define IMS_SIM_VALUE_HPP
 
-#include <vector>
-
 #include "ir/opcode.hpp"
 
 namespace ims::sim {
@@ -24,9 +22,12 @@ using Value = double;
  *   select                     -- c != 0 ? a : b (sources are c, a, b)
  *   copy                       -- identity
  *
- * @pre sources.size() == sourceCount(opcode); opcode is evaluable.
+ * The engines gather operands into a stack buffer of ir::kMaxSources, so
+ * evaluating an operation allocates nothing.
+ *
+ * @pre count == sourceCount(opcode); opcode is evaluable.
  */
-Value evaluate(ir::Opcode opcode, const std::vector<Value>& sources);
+Value evaluate(ir::Opcode opcode, const Value* sources, int count);
 
 /** Truthiness of a predicate value. */
 inline bool

@@ -3,6 +3,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 
 namespace ims::support {
@@ -44,8 +45,37 @@ class CodedError : public Error
     std::string code_;
 };
 
-/** Throw ims::support::Error with the given message if `condition` fails. */
-void check(bool condition, const std::string& message);
+/**
+ * Throw ims::support::Error with `message` if `condition` fails.
+ *
+ * Checks sit on hot paths (every simulated register read and memory
+ * access), so a passing check must cost only the test: the message is
+ * either a literal or built by a callable that runs only on failure.
+ *
+ *     check(ii >= 1, "candidate II must be >= 1");
+ *     check(it != end, [&] { return "unknown register '" + name + "'"; });
+ */
+inline void
+check(bool condition, const char* message)
+{
+    if (!condition)
+        throw Error(message);
+}
+
+/** Lazy form: `make_message()` is invoked only when `condition` fails. */
+template <typename MakeMessage,
+          typename = std::enable_if_t<
+              std::is_invocable_r_v<std::string, MakeMessage&>>>
+inline void
+check(bool condition, MakeMessage&& make_message)
+{
+    if (!condition)
+        throw Error(make_message());
+}
+
+/** An eagerly built message costs an allocation even when the check
+ *  passes; pass a literal or a callable instead. */
+void check(bool condition, const std::string& message) = delete;
 
 } // namespace ims::support
 

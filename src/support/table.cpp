@@ -1,6 +1,9 @@
 #include "support/table.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdlib>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -67,6 +70,34 @@ formatDouble(double value, int precision)
     std::ostringstream out;
     out << std::fixed << std::setprecision(precision) << value;
     return out.str();
+}
+
+void
+appendRoundTripDouble(std::string& out, double value)
+{
+    if (std::isnan(value)) {
+        out += "nan";
+        return;
+    }
+    if (std::isinf(value)) {
+        out += std::signbit(value) ? "-inf" : "inf";
+        return;
+    }
+    // std::to_chars with a precision is "%.*g" without the locale and
+    // stream machinery.
+    char buffer[64];
+    char* end = buffer;
+    for (int precision = 1; precision <= 17; ++precision) {
+        end = std::to_chars(buffer, buffer + sizeof buffer - 1, value,
+                            std::chars_format::general, precision)
+                  .ptr;
+        *end = '\0';
+        const double reparsed = std::strtod(buffer, nullptr);
+        if (reparsed == value &&
+            std::signbit(reparsed) == std::signbit(value))
+            break;
+    }
+    out.append(buffer, end);
 }
 
 } // namespace ims::support

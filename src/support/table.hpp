@@ -39,6 +39,18 @@ class TextTable
 /** Format `value` with `precision` digits after the decimal point. */
 std::string formatDouble(double value, int precision = 2);
 
+/**
+ * Append the shortest decimal form of `value` that round-trips through
+ * strtod: printf's "%.*g" at the least precision that reparses exactly.
+ *
+ * The output is a pure function of the value with exactly one spelling
+ * per value, which the content-addressed schedule cache keys on. NaN
+ * collapses to "nan" regardless of sign bit or payload (printf would emit
+ * "-nan" for negative NaNs on glibc), infinities to "inf"/"-inf", and the
+ * signbit check keeps "-0" distinct from "0".
+ */
+void appendRoundTripDouble(std::string& out, double value);
+
 } // namespace ims::support
 
 #endif // IMS_SUPPORT_TABLE_HPP

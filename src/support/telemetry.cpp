@@ -263,8 +263,8 @@ class JsonParser
     void
     expect(char c)
     {
-        check(pos_ < text_.size() && text_[pos_] == c,
-              std::string("expected '") + c + "'");
+        if (pos_ >= text_.size() || text_[pos_] != c)
+            fail(std::string("expected '") + c + "'");
         ++pos_;
     }
 
@@ -277,7 +277,7 @@ class JsonParser
     }
 
     static void
-    check(bool condition, const std::string& message)
+    check(bool condition, const char* message)
     {
         if (!condition)
             fail(message);

@@ -67,8 +67,9 @@ TEST(LoopBuilderTest, BuildsValidDaxpyShapedLoop)
     EXPECT_EQ(loop.maxDistance(), 3);
     // Defs resolve.
     for (const auto& op : loop.operations()) {
-        if (op.hasDest())
+        if (op.hasDest()) {
             EXPECT_EQ(loop.definingOp(op.dest), op.id);
+        }
     }
 }
 
@@ -98,6 +99,41 @@ TEST(LoopValidateTest, OperandArityMismatch)
     op.sources = {ir::Operand::makeReg(a)}; // needs two
     loop.addOperation(op);
     EXPECT_THROW(loop.validate(), support::Error);
+}
+
+/** The message `loop.validate()` throws, or "" if it passes. */
+std::string
+validateMessage(const ir::Loop& loop)
+{
+    try {
+        loop.validate();
+    } catch (const support::Error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(LoopValidateTest, RejectionsCarryExactMessages)
+{
+    ir::Loop arity("t");
+    const ir::RegId a = arity.addRegister({"a", false, true});
+    const ir::RegId d = arity.addRegister({"d", false, false});
+    ir::Operation add;
+    add.opcode = Opcode::kAdd;
+    add.dest = d;
+    add.sources = {ir::Operand::makeReg(a)};
+    arity.addOperation(add);
+    EXPECT_EQ(validateMessage(arity),
+              "operation 0 (add) has 1 operands, expected 2");
+
+    ir::Loop undeclared("t");
+    const ir::RegId b = undeclared.addRegister({"b", false, true});
+    const ir::RegId e = undeclared.addRegister({"e", false, false});
+    add.dest = e;
+    add.sources = {ir::Operand::makeReg(b), ir::Operand::makeReg(7)};
+    undeclared.addOperation(add);
+    EXPECT_EQ(validateMessage(undeclared),
+              "operation 0 reads undeclared register");
 }
 
 TEST(LoopValidateTest, CrossIterationReadWithoutSeedThrows)

@@ -139,8 +139,9 @@ TEST(MinDistTest, DiagonalDetectsInfeasibleIi)
     for (int ii = 1; ii <= 12; ++ii) {
         const mii::MinDistMatrix m(g, {0, 1}, ii);
         EXPECT_EQ(m.feasible(), ii >= 9) << "II " << ii;
-        if (ii == 9)
+        if (ii == 9) {
             EXPECT_EQ(m.maxDiagonal(), 0); // tight at the RecMII
+        }
     }
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "ir/parser.hpp"
+#include "ir/printer.hpp"
 #include "support/error.hpp"
 
 namespace {
@@ -92,6 +93,112 @@ _ = branch n
     ASSERT_EQ(op.sources.size(), 2u);
     EXPECT_FALSE(op.sources[1].isRegister());
     EXPECT_DOUBLE_EQ(op.sources[1].immediate, -2.5);
+}
+
+/** A malformed loop text and the exact message it is rejected with. */
+struct Rejection
+{
+    const char* text;
+    const char* message;
+};
+
+TEST(ParserTest, RejectionsCarryExactMessages)
+{
+    const Rejection cases[] = {
+        {"", "empty loop text"},
+        {"\n# nothing\n",
+         "line 2: expected 'loop <name>' as first directive"},
+        {"loop t extra\n", "line 1: expected 'loop <name>' as first directive"},
+        {"loop t\narray\n", "line 2: expected 'array <name>'"},
+        {"loop t\nlivein a b\n", "line 2: expected 'livein <name>'"},
+        {"loop t\npredicate\n", "line 2: expected 'predicate <name>'"},
+        {"loop t\nx add a\n", "line 2: expected '<dest> = <opcode> ...'"},
+        {"loop t\nx = frob a\n", "line 2: unknown opcode 'frob'"},
+        {"loop t\nlivein a\nx = load a @ m\n",
+         "line 3: expected '@ <array> <offset> [stride]'"},
+        {"loop t\nlivein a\nx = load a @ m z\n",
+         "line 3: bad memory offset/stride"},
+        {"loop t\nlivein a\nx = load a @ m 0 99999999999\n",
+         "line 3: bad memory offset/stride"},
+        {"loop t\nlivein a\nx = add a[1, a\n",
+         "line 3: malformed register reference 'a[1'"},
+        {"loop t\nlivein a\nx = add a[z], a\n",
+         "line 3: bad distance in 'a[z]'"},
+        {"loop t\nlivein a\nx = add a[], a\n", "line 3: bad distance in 'a[]'"},
+        {"loop t\nlivein a\nx = add #1e, a\n", "line 3: bad immediate '#1e'"},
+        {"loop t\nlivein a\nx = add #, a\n", "line 3: bad immediate '#'"},
+        {"loop t\nx = add q, #1\n",
+         "line 2: operand register 'q' read before any definition; declare "
+         "it with liveIn()/recurrence() or define it first"},
+        // Words are rejoined with single spaces before operands split.
+        {"loop t\nlivein a\nx = add a \t b, a\n",
+         "line 3: operand register 'a b' read before any definition; "
+         "declare it with liveIn()/recurrence() or define it first"},
+        {"loop t\nlivein a\nx = add a, a if q\n",
+         "line 3: operand register 'q' read before any definition; declare "
+         "it with liveIn()/recurrence() or define it first"},
+        // Raised inside the block that prefixes builder errors, so the
+        // line number appears twice.
+        {"loop t\nlivein a\nx = load a\n",
+         "line 3: line 3: load requires '@ <array> <offset>'"},
+        {"loop t\nlivein a\nx = load a, a @ m 0\n",
+         "line 3: line 3: load takes one address operand"},
+        {"loop t\nlivein a\n_ = store a, a\n",
+         "line 3: line 3: store requires '@ <array> <offset>'"},
+        {"loop t\nlivein a\n_ = store a @ m 0\n",
+         "line 3: line 3: store takes address and value operands"},
+        {"loop t\nlivein a\nx = add a, a\nx = add a, a\n",
+         "line 4: register 'x' defined more than once (loop is in single "
+         "assignment form)"},
+        // Operand counts are checked when the loop is built, after the
+        // last line: no line number.
+        {"loop t\nlivein a\nx = add a\n",
+         "operation 0 (add) has 1 operands, expected 2"},
+    };
+    for (const auto& rejection : cases) {
+        try {
+            ir::parseLoop(rejection.text);
+            ADD_FAILURE() << "accepted: " << rejection.text;
+        } catch (const support::Error& e) {
+            EXPECT_EQ(std::string(e.what()), rejection.message)
+                << "text: " << rejection.text;
+        }
+    }
+}
+
+TEST(ParserTest, LineOfOnlyVerticalWhitespaceIsAnOperationLine)
+{
+    // Blank-line trimming strips spaces, tabs and CRs only; a line left
+    // with vertical tabs or form feeds has no words and is rejected as a
+    // malformed operation line.
+    try {
+        ir::parseLoop("loop t\n\v\f\n");
+        FAIL() << "must throw";
+    } catch (const support::Error& e) {
+        EXPECT_STREQ(e.what(), "line 2: expected '<dest> = <opcode> ...'");
+    }
+}
+
+TEST(ParserTest, WhitespaceAndCommentsNormalize)
+{
+    const char* text = "  ; header\r\n"
+                       "loop\tt  ; name\n"
+                       "livein \t a\r\n"
+                       "recurrence r\n"
+                       "r = add r[ 2],\t#  1.5 ; comment\n"
+                       "x\t=  load a ,  @ m 3junk 2\n"
+                       "predicate p\n"
+                       "_ = store a,x @ m -1 if\tp\n";
+    // Strides, offsets and distances keep std::stoi's prefix parsing;
+    // immediates keep strtod's leading-space skip.
+    EXPECT_EQ(ir::printLoop(ir::parseLoop(text)),
+              "loop t\n"
+              "livein a\n"
+              "recurrence r\n"
+              "predicate p\n"
+              "r = add r[2], #1.5\n"
+              "x = load a @ m 3 2\n"
+              "_ = store a, x @ m -1 if p\n");
 }
 
 TEST(ParserTest, ErrorsCarryLineNumbers)

@@ -18,10 +18,12 @@
 #include "ir/parser.hpp"
 #include "ir/printer.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_io.hpp"
 #include "service/options_codec.hpp"
 #include "service/schedule_cache.hpp"
 #include "service/schedule_service.hpp"
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "workloads/kernels.hpp"
@@ -184,6 +186,36 @@ TEST(ScheduleCacheTest, PersistenceRoundTripServesHitsAfterRestart)
     EXPECT_EQ(reloaded.loadCacheText(saved), 0u);
 
     EXPECT_THROW(reloaded.loadCacheText("bogus header\n"), support::Error);
+}
+
+TEST(ScheduleCacheTest, KeyDigestIsFnv1aOfTheJoinedMaterial)
+{
+    // The digest is streamed over the components; it must equal the
+    // one-shot hash of material(), which save files and shards rely on.
+    const auto daxpy = workloads::kernelByName("daxpy");
+    const std::vector<service::CacheKey> keys = {
+        service::CacheKey::make("", "", ""),
+        service::CacheKey::make("loop a\n", "machine m\n", "opts\n"),
+        service::CacheKey::make(
+            ir::printLoop(daxpy.loop),
+            machine::printMachine(machine::cydra5()),
+            service::canonicalOptionsText(core::PipelinerOptions{})),
+    };
+    for (const auto& key : keys)
+        EXPECT_EQ(key.hash, support::fnv1a(key.material()));
+    EXPECT_EQ(keys[1].hash, 0xd0769b2ff5f2135eULL);
+
+    // The service's form takes the machine text's hash precomputed.
+    const service::ModelRegistry registry;
+    for (const auto& name : registry.names()) {
+        const auto model = registry.lookup(name);
+        const auto plain = service::CacheKey::make(
+            keys[2].loopText, model->canonicalText, keys[2].optionsText);
+        const auto fast = service::CacheKey::make(keys[2].loopText, *model,
+                                                  keys[2].optionsText);
+        EXPECT_EQ(fast.hash, plain.hash) << name;
+        EXPECT_EQ(fast.machineText, plain.machineText) << name;
+    }
 }
 
 TEST(ScheduleCacheTest, HashCollisionsNeverShareAnEntry)

@@ -17,26 +17,34 @@ namespace {
 using namespace ims;
 using ir::Opcode;
 
+/** sim::evaluate over a braced operand list. */
+sim::Value
+evaluate(Opcode opcode, std::initializer_list<sim::Value> sources)
+{
+    return sim::evaluate(opcode, sources.begin(),
+                         static_cast<int>(sources.size()));
+}
+
 TEST(ValueTest, OpcodeSemantics)
 {
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kAdd, {2, 3}), 5);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kSub, {2, 3}), -1);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kMul, {2, 3}), 6);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kDiv, {6, 3}), 2);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kDiv, {6, 0}), 0); // total fn
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kSqrt, {-9}), 3);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kMin, {2, 3}), 2);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kMax, {2, 3}), 3);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kAbs, {-4}), 4);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kCmpGt, {3, 2}), 1);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kCmpGt, {2, 3}), 0);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kPredSet, {1, 0}), 1);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kPredClear, {}), 0);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kSelect, {1, 7, 9}), 7);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kSelect, {0, 7, 9}), 9);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kCopy, {42}), 42);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kAddrAdd, {8, 8}), 16);
-    EXPECT_DOUBLE_EQ(sim::evaluate(Opcode::kAddrSub, {8, 3}), 5);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kAdd, {2, 3}), 5);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kSub, {2, 3}), -1);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kMul, {2, 3}), 6);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kDiv, {6, 3}), 2);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kDiv, {6, 0}), 0); // total fn
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kSqrt, {-9}), 3);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kMin, {2, 3}), 2);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kMax, {2, 3}), 3);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kAbs, {-4}), 4);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kCmpGt, {3, 2}), 1);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kCmpGt, {2, 3}), 0);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kPredSet, {1, 0}), 1);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kPredClear, {}), 0);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kSelect, {1, 7, 9}), 7);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kSelect, {0, 7, 9}), 9);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kCopy, {42}), 42);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kAddrAdd, {8, 8}), 16);
+    EXPECT_DOUBLE_EQ(evaluate(Opcode::kAddrSub, {8, 3}), 5);
 }
 
 TEST(MemoryTest, MarginSupportsNegativeIndices)
@@ -74,6 +82,26 @@ TEST(MemoryTest, SnapshotAndEquality)
     EXPECT_TRUE(a == c);
     const auto snap = a.snapshot(0, 0, 3);
     EXPECT_DOUBLE_EQ(snap[1], 3.0);
+}
+
+TEST(MemoryTest, AccessOutsideTheMarginThrows)
+{
+    // Iteration 0 reads X[-3], one cell below a margin of 2.
+    ir::LoopBuilder b("out_of_bounds");
+    b.liveIn("a");
+    b.load("x", "X", -3, b.reg("a"));
+    b.store("Y", 0, b.reg("a"), b.reg("x"));
+    const ir::Loop loop = b.build();
+    sim::SimSpec spec;
+    spec.tripCount = 4;
+    spec.margin = 2;
+    try {
+        sim::runSequential(loop, spec);
+        FAIL() << "must throw";
+    } catch (const support::Error& e) {
+        EXPECT_STREQ(e.what(), "array access out of simulated bounds "
+                               "(index -3); increase the margin");
+    }
 }
 
 TEST(SequentialTest, DaxpyComputesExactValues)
@@ -205,6 +233,32 @@ TEST(PipelineSimTest, CyclesFollowExecutionTimeModel)
     EXPECT_EQ(result.cycles,
               39LL * artifacts.outcome.schedule.ii +
                   artifacts.outcome.schedule.scheduleLength);
+}
+
+TEST(PipelineSimTest, ScheduleBreakingAFlowDependenceThrows)
+{
+    // The copy issues at cycle 0, before the load defining x.
+    ir::LoopBuilder b("broken_flow");
+    b.liveIn("a");
+    b.load("x", "X", 0, b.reg("a"));
+    b.op(Opcode::kCopy, "y", {b.reg("x")});
+    const ir::Loop loop = b.build();
+    sched::ScheduleResult schedule;
+    schedule.ii = 2;
+    schedule.times = {1, 0};
+    schedule.alternatives = {0, 0};
+    schedule.scheduleLength = 2;
+    sim::SimSpec spec;
+    spec.tripCount = 3;
+    try {
+        sim::runPipelined(loop, schedule, spec);
+        FAIL() << "must throw";
+    } catch (const support::Error& e) {
+        EXPECT_STREQ(e.what(),
+                     "read of register 'x' at iteration 0 before its "
+                     "definition executed (body not in topological "
+                     "order, or schedule bug)");
+    }
 }
 
 TEST(PipelineSimTest, MatchesSequentialOnEveryKernel)

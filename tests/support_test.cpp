@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "support/error.hpp"
+#include "support/hash.hpp"
 #include "support/regression.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -160,6 +162,55 @@ TEST(ErrorTest, CheckThrowsWithMessage)
         FAIL() << "check(false) must throw";
     } catch (const Error& e) {
         EXPECT_STREQ(e.what(), "broken widget");
+    }
+}
+
+TEST(ErrorTest, LazyMessageIsBuiltOnlyOnFailure)
+{
+    int calls = 0;
+    const auto message = [&] {
+        ++calls;
+        return std::string("broken ") + "gadget";
+    };
+    EXPECT_NO_THROW(check(true, message));
+    EXPECT_EQ(calls, 0);
+    try {
+        check(false, message);
+        FAIL() << "check(false) must throw";
+    } catch (const Error& e) {
+        EXPECT_STREQ(e.what(), "broken gadget");
+    }
+    EXPECT_EQ(calls, 1);
+}
+
+/** Whether check(bool, Message) compiles. */
+template <typename Message>
+constexpr bool kCheckAccepts = requires(Message message) {
+    check(true, message);
+};
+
+// A composed std::string would be built even when the check passes, so
+// check takes only literals and callables.
+static_assert(kCheckAccepts<const char*>);
+static_assert(kCheckAccepts<std::string (*)()>);
+static_assert(!kCheckAccepts<std::string>);
+static_assert(!kCheckAccepts<const std::string&>);
+
+TEST(HashTest, PrecomputedTextMatchesStreamingFnv1a)
+{
+    Rng rng(23);
+    std::string text;
+    for (int length : {0, 1, 7, 300}) {
+        text.clear();
+        for (int k = 0; k < length; ++k)
+            text += static_cast<char>(rng.next() & 0xff);
+        const Fnv1aText precomputed(text);
+        for (int prefix = 0; prefix < 300; ++prefix) {
+            const std::string head(prefix, static_cast<char>(prefix));
+            EXPECT_EQ(Fnv1a().update(head).update(precomputed).digest(),
+                      Fnv1a().update(head).update(text).digest())
+                << "text length " << length << ", prefix " << prefix;
+        }
     }
 }
 
