@@ -1,6 +1,6 @@
 /**
  * @file
- * Linear vs racing vs feedback II search on hard-II workloads.
+ * Linear vs racing II search on hard-II workloads.
  *
  * "Hard II" means the lowest feasible II sits well above the MII, so the
  * linear search burns a full budget per failed candidate before reaching
@@ -10,32 +10,17 @@
  * feasible IIs above the MII) and the first loops needing >= 5 linear
  * attempts are kept and unrolled into multi-hundred-op bodies.
  *
- * The feedback strategy is measured on a second, *provable-gap* family:
- * a crafted machine whose kMul reservation table uses the `sparse`
- * resource at times 0 and C, so the operation modulo-self-collides — and
- * the loop is provably infeasible — at every candidate II dividing C. A
- * 4-add recurrence pins the MII below those gaps, forcing the linear
- * walk to attempt (and fail) each divisor candidate the feedback probe
- * can skip with an exact infeasibility proof.
- *
- * Three gates:
+ * Two gates:
  *
  *  1. **Identity** (always enforced): every racing run, at every thread
  *     count, must produce the same (II, schedule hash, attempts,
  *     totalSteps) as the linear search. A violation is a determinism bug
- *     and fails the bench regardless of timing. Feedback runs must match
- *     linear's (II, schedule hash, attempts) on every workload of both
- *     families — a skip is only sound on a candidate linear also failed.
+ *     and fails the bench regardless of timing.
  *  2. **Speedup** (hardware-gated): the geometric-mean racing speedup at
  *     the gated thread count must reach --min-speedup (default 1.5).
  *     Enforced only when std::thread::hardware_concurrency() covers the
  *     gated thread count — on smaller hosts the gate is reported as
  *     skipped (the JSON records the core count so readers can tell).
- *  3. **Feedback savings** (always enforced; deterministic): on every
- *     provable-gap workload the feedback search must skip at least one
- *     candidate and start strictly fewer attempts (started + wasted)
- *     than linear at the equal final II; billed scheduling steps must
- *     drop accordingly.
  *
  * Usage:
  *   bench_ii_search [--out PATH] [--threads a,b,c] [--gate-threads N]
@@ -52,8 +37,6 @@
 #include <thread>
 #include <vector>
 
-#include "ir/loop_builder.hpp"
-#include "machine/machine_builder.hpp"
 #include "machine/machines.hpp"
 #include "support/error.hpp"
 #include "sched/schedule.hpp"
@@ -137,86 +120,6 @@ calibrateWorkloads(const machine::MachineModel& machine, int want,
     }
     return hard;
 }
-
-// ---------------------------------------------------------------------------
-// Provable-gap family for the feedback strategy.
-
-/**
- * The gap machine: kAdd has two (src_bus, alu) alternatives; kMul has a
- * single alternative using `sparse` at times 0 and C, which self-collides
- * at every II dividing C (the provable gaps). Everything else is a plain
- * single-cycle `mem` table so the rest of the loop never interferes.
- */
-machine::MachineModel
-gapMachine(int c)
-{
-    machine::MachineBuilder b("gapster_c" + std::to_string(c));
-    b.addResource("src_bus");
-    b.addResource("alu0");
-    b.addResource("alu1");
-    b.addResource("sparse");
-    b.addResource("mem");
-    {
-        machine::ReservationTable t0, t1;
-        t0.addUse(0, 0);
-        t0.addUse(1, 1);
-        t1.addUse(0, 0);
-        t1.addUse(1, 2);
-        auto cfg = b.opcode(ir::Opcode::kAdd, 4);
-        cfg.alternative("a0", t0);
-        cfg.alternative("a1", t1);
-    }
-    {
-        machine::ReservationTable t;
-        t.addUse(0, 3);
-        t.addUse(c, 3);
-        auto cfg = b.opcode(ir::Opcode::kMul, 3);
-        cfg.alternative("m", t);
-    }
-    for (int i = 0; i < ir::kNumRealOpcodes; ++i) {
-        const auto op = static_cast<ir::Opcode>(i);
-        if (op == ir::Opcode::kAdd || op == ir::Opcode::kMul)
-            continue;
-        machine::ReservationTable t;
-        t.addUse(0, 4);
-        auto cfg = b.opcode(op, op == ir::Opcode::kLoad ? 2 : 1);
-        cfg.alternative("s", t);
-    }
-    return b.build();
-}
-
-/** 4-add recurrence of distance 2 (RecMII 8), the gap kMul, two loads. */
-ir::Loop
-gapLoop(int c)
-{
-    ir::LoopBuilder b("gap_c" + std::to_string(c));
-    b.recurrence("r");
-    b.op(ir::Opcode::kAdd, "t0", {b.reg("r", 2), b.imm(1)});
-    b.op(ir::Opcode::kAdd, "t1", {b.reg("t0"), b.imm(1)});
-    b.op(ir::Opcode::kAdd, "t2", {b.reg("t1"), b.imm(1)});
-    b.op(ir::Opcode::kAdd, "r", {b.reg("t2"), b.imm(1)});
-    b.liveIn("x");
-    b.op(ir::Opcode::kMul, "p", {b.reg("x"), b.imm(3)});
-    b.load("f0", "A", 0, b.reg("x"));
-    b.load("f1", "A", 1, b.reg("x"));
-    b.closeLoop();
-    return b.build();
-}
-
-struct GapResult
-{
-    std::string name;
-    std::string backend; // "iterative" or "slack"
-    int mii = 0;
-    int ii = 0;
-    int attempts = 0;
-    int linearAttemptsStarted = 0;
-    int feedbackAttemptsStarted = 0;
-    int skippedIis = 0;
-    long long linearSteps = 0;
-    long long feedbackSteps = 0;
-    bool identical = false;
-};
 
 struct Measurement
 {
@@ -347,25 +250,6 @@ main(int argc, char** argv)
             result.measurements.push_back(std::move(m));
         }
 
-        // Feedback identity on the hard-II family: the winner and the
-        // winning schedule must equal linear's (skips, when the probe
-        // proves any, only remove failed attempts from the bill).
-        {
-            sched::ScheduleOptions options;
-            options.search.withKind(sched::IiSearchKind::kFeedback);
-            const auto outcome = sched::schedule(loop, machine, options);
-            if (outcome.schedule.ii != result.ii ||
-                scheduleHash(outcome.schedule) != result.hash ||
-                outcome.attempts != result.attempts ||
-                outcome.totalSteps > result.totalSteps) {
-                std::cerr << "identity violation: " << result.name
-                          << " with feedback: II " << outcome.schedule.ii
-                          << " vs " << result.ii << ", attempts "
-                          << outcome.attempts << " vs " << result.attempts
-                          << "\n";
-                ++identity_violations;
-            }
-        }
         results.push_back(std::move(result));
     }
 
@@ -426,104 +310,9 @@ main(int argc, char** argv)
         }
     }
 
-    // ----------------------------------------------------------------
-    // Provable-gap family: linear vs feedback, both heuristic backends.
-    // Everything here is deterministic (single-worker strategies, no
-    // timing dependence), so the gate always enforces.
-    const std::vector<int> gap_cs = {90, 360, 1980, 2520};
-    std::vector<GapResult> gaps;
-    bool feedback_gate_passed = true;
-    for (const int c : gap_cs) {
-        const auto machine_c = gapMachine(c);
-        const auto loop = gapLoop(c);
-        for (const auto backend : {sched::SchedulerStrategy::kIterative,
-                                   sched::SchedulerStrategy::kSlack}) {
-            sched::ScheduleOptions linear;
-            linear.strategy = backend;
-            const auto base = sched::schedule(loop, machine_c, linear);
-
-            sched::ScheduleOptions fb = linear;
-            fb.search.withKind(sched::IiSearchKind::kFeedback);
-            const auto got = sched::schedule(loop, machine_c, fb);
-
-            GapResult g;
-            g.name = loop.name();
-            g.backend = base.scheduler;
-            g.mii = base.mii;
-            g.ii = base.schedule.ii;
-            g.attempts = base.attempts;
-            g.linearAttemptsStarted = base.search.attemptsStarted +
-                                      base.search.attemptsWasted;
-            g.feedbackAttemptsStarted = got.search.attemptsStarted +
-                                        got.search.attemptsWasted;
-            g.skippedIis = got.search.skippedIis;
-            g.linearSteps = base.totalSteps;
-            g.feedbackSteps = got.totalSteps;
-            g.identical =
-                got.schedule.ii == base.schedule.ii &&
-                scheduleHash(got.schedule) == scheduleHash(base.schedule) &&
-                got.attempts == base.attempts;
-
-            // The tentpole gate: equal final II and schedule, at least
-            // one proven skip, strictly fewer started+wasted attempts,
-            // and a strictly smaller step bill.
-            if (!g.identical || g.skippedIis < 1 ||
-                g.feedbackAttemptsStarted >= g.linearAttemptsStarted ||
-                g.feedbackSteps >= g.linearSteps) {
-                std::cerr << "feedback gate violation: " << g.name << "/"
-                          << g.backend << ": identical="
-                          << (g.identical ? "yes" : "NO")
-                          << " skipped=" << g.skippedIis << " attempts "
-                          << g.feedbackAttemptsStarted << " vs "
-                          << g.linearAttemptsStarted << ", steps "
-                          << g.feedbackSteps << " vs " << g.linearSteps
-                          << "\n";
-                feedback_gate_passed = false;
-            }
-            gaps.push_back(std::move(g));
-        }
-    }
-
-    support::TextTable gap_table(
-        "feedback search: provable-gap family (linear vs feedback, "
-        "started+wasted attempts and billed steps)");
-    gap_table.addHeader({"workload", "backend", "MII", "II", "skipped",
-                         "attempts lin", "attempts fb", "steps lin",
-                         "steps fb"});
-    double attempt_log_sum = 0.0;
-    double step_log_sum = 0.0;
-    for (const auto& g : gaps) {
-        gap_table.addRow({g.name, g.backend, std::to_string(g.mii),
-                          std::to_string(g.ii),
-                          std::to_string(g.skippedIis),
-                          std::to_string(g.linearAttemptsStarted),
-                          std::to_string(g.feedbackAttemptsStarted),
-                          std::to_string(g.linearSteps),
-                          std::to_string(g.feedbackSteps)});
-        attempt_log_sum += std::log(
-            static_cast<double>(g.linearAttemptsStarted) /
-            std::max(1, g.feedbackAttemptsStarted));
-        step_log_sum +=
-            std::log(static_cast<double>(g.linearSteps) /
-                     std::max(1LL, g.feedbackSteps));
-    }
-    gap_table.print(std::cout);
-    const double attempt_savings =
-        gaps.empty() ? 1.0 : std::exp(attempt_log_sum / gaps.size());
-    const double step_savings =
-        gaps.empty() ? 1.0 : std::exp(step_log_sum / gaps.size());
-    std::cout << "feedback geomean savings: "
-              << support::formatDouble(attempt_savings, 2)
-              << "x fewer started attempts, "
-              << support::formatDouble(step_savings, 2)
-              << "x fewer billed steps\n"
-              << "feedback gate (>=1 skip, strictly fewer attempts and "
-                 "steps, identical schedule): "
-              << (feedback_gate_passed ? "passed" : "FAILED") << "\n";
-
     {
         std::ofstream out(out_path);
-        out << "{\n  \"schema\": \"ims.bench_ii_search.v2\",\n"
+        out << "{\n  \"schema\": \"ims.bench_ii_search.v3\",\n"
             << "  \"quick\": " << (quick ? "true" : "false") << ",\n"
             << "  \"cores\": " << cores << ",\n"
             << "  \"repeats\": " << repeats << ",\n"
@@ -548,38 +337,13 @@ main(int argc, char** argv)
             }
             out << "]}" << (i + 1 < results.size() ? "," : "") << "\n";
         }
-        out << "  ],\n";
-        out << "  \"feedback_gate_passed\": "
-            << (feedback_gate_passed ? "true" : "false") << ",\n"
-            << "  \"feedback_attempt_savings\": " << attempt_savings
-            << ",\n"
-            << "  \"feedback_step_savings\": " << step_savings << ",\n"
-            << "  \"gap_family\": [\n";
-        for (std::size_t i = 0; i < gaps.size(); ++i) {
-            const auto& g = gaps[i];
-            out << "    {\"name\": \"" << g.name << "\", \"backend\": \""
-                << g.backend << "\", \"mii\": " << g.mii << ", \"ii\": "
-                << g.ii << ", \"attempts\": " << g.attempts
-                << ", \"skipped\": " << g.skippedIis
-                << ", \"linear_started\": " << g.linearAttemptsStarted
-                << ", \"feedback_started\": " << g.feedbackAttemptsStarted
-                << ", \"linear_steps\": " << g.linearSteps
-                << ", \"feedback_steps\": " << g.feedbackSteps
-                << ", \"identical\": " << (g.identical ? "true" : "false")
-                << "}" << (i + 1 < gaps.size() ? "," : "") << "\n";
-        }
         out << "  ]\n}\n";
     }
     std::cout << "wrote " << out_path << "\n";
 
     if (identity_violations != 0) {
         std::cerr << "bench_ii_search: " << identity_violations
-                  << " identity violations (racing/feedback != linear)\n";
-        return 1;
-    }
-    if (!feedback_gate_passed) {
-        std::cerr << "bench_ii_search: feedback gate failed on the "
-                     "provable-gap family\n";
+                  << " identity violations (racing != linear)\n";
         return 1;
     }
     if (gate_enforced && !gate_passed)

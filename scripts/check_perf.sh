@@ -9,17 +9,11 @@
 #     8 threads over 1 thread — enforced only when the host reports >= 8
 #     hardware threads; smaller machines record the ratio with
 #     "gate_enforced": false in the JSON.
-#  2. bench_ii_search — racing/feedback-vs-linear II search: bit-identity
-#     of racing and feedback results is always enforced, as is the
-#     feedback gate (on every provable-gap workload the feedback search
-#     must skip >=1 candidate II with an exact infeasibility proof and
-#     start strictly fewer attempts than linear at the equal final II);
-#     the >=1.5x geomean racing speedup floor at 8 threads is enforced
-#     only when the host has at least 8 hardware threads (the bench
-#     reports the gate as skipped otherwise, and records the core count
-#     in the JSON). The gap family's deterministic results (II, skips,
-#     started attempts, billed steps) are additionally drift-checked
-#     against the checked-in BENCH_ii_search.json baseline.
+#  2. bench_ii_search — racing-vs-linear II search: bit-identity of
+#     racing results is always enforced; the >=1.5x geomean racing
+#     speedup floor at 8 threads is enforced only when the host has at
+#     least 8 hardware threads (the bench reports the gate as skipped
+#     otherwise, and records the core count in the JSON).
 #  3. bench_service — schedule-cache traffic replay: cache hits must be
 #     bit-identical to cold runs, the replay pass must hit >=95% of the
 #     time, and the hit-path p50 latency must be >=10x faster than the
@@ -62,37 +56,9 @@ echo "== bench_sched_hotpath (identity + >10% regression + scaling gate) =="
     --scaling-gate \
     --out "$BUILD_DIR/BENCH_sched_hotpath.json"
 
-echo "== bench_ii_search (racing/feedback identity + feedback savings + "
-echo "   hardware-gated speedup) =="
+echo "== bench_ii_search (racing identity + hardware-gated speedup) =="
 "$BUILD_DIR/bench/bench_ii_search" \
     --out "$BUILD_DIR/BENCH_ii_search.json"
-# The provable-gap family is deterministic (single-worker strategies, no
-# timing dependence): any drift from the checked-in baseline is a search
-# or scheduler change that needs a deliberate baseline refresh.
-python3 - "$BUILD_DIR/BENCH_ii_search.json" BENCH_ii_search.json <<'EOF'
-import json, sys
-def key(r):
-    return (r["name"], r["backend"])
-new = {key(r): r for r in json.load(open(sys.argv[1]))["gap_family"]}
-old = {key(r): r for r in json.load(open(sys.argv[2]))["gap_family"]}
-drift = []
-for name, baseline in old.items():
-    current = new.get(name)
-    if current is None:
-        drift.append(f"{name}: missing from the new report")
-        continue
-    for field in ("mii", "ii", "attempts", "skipped", "linear_started",
-                  "feedback_started", "linear_steps", "feedback_steps"):
-        if current[field] != baseline[field]:
-            drift.append(
-                f"{name}: {field} {baseline[field]} -> {current[field]}")
-if drift:
-    print("check_perf: feedback gap family drifted from BENCH_ii_search"
-          ".json:", file=sys.stderr)
-    for line in drift:
-        print("  " + line, file=sys.stderr)
-    sys.exit(1)
-EOF
 
 echo "== scheduler backend gate (exact must stay off the hot path) =="
 # The hot-path configurations use default options, which select the

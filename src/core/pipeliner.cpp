@@ -196,7 +196,6 @@ SoftwarePipeliner::pipeline(const PipelineRequest& request) const
         result.telemetry.iiAttemptsWasted = outcome.search.attemptsWasted;
         result.telemetry.iiAttemptsProvenInfeasible =
             outcome.search.attemptsProvenInfeasible;
-        result.telemetry.iiSkipped = outcome.search.skippedIis;
         result.telemetry.iiSearchWallSeconds = outcome.search.wallSeconds;
         result.telemetry.iiSearchCpuSeconds = outcome.search.cpuSeconds;
 

@@ -28,7 +28,7 @@ namespace ims::core {
  *  - priority: HeightR, forward-progress rule on;
  *  - BudgetRatio 2.0 (the paper's recommendation), maxIiIncrease 4096;
  *  - II search: linear (withIiSearch selects the deterministic racing
- *    or the feedback-guided strategy; see sched/ii_search.hpp);
+ *    strategy; see sched/ii_search.hpp);
  *  - independent schedule verification on;
  *  - no telemetry sink.
  *
@@ -99,34 +99,16 @@ struct PipelinerOptions
     /**
      * Select the II-search strategy, keeping the budget knobs: e.g.
      * `withIiSearch(sched::IiSearchKind::kRacing, 8)`. `threads` <= 0
-     * means hardware concurrency (racing only). Both the racing and the
-     * feedback-guided strategy are deterministic: the winning II and
-     * schedule are bit-identical to the linear search at any thread
-     * count (see docs/ALGORITHM.md, "II search strategies" and
-     * "Feedback-guided search").
+     * means hardware concurrency (racing only). The racing strategy is
+     * deterministic: the winning II and schedule are bit-identical to
+     * the linear search at any thread count (see docs/ALGORITHM.md, "II
+     * search strategies").
      */
     PipelinerOptions&
     withIiSearch(sched::IiSearchKind kind, int threads = 0)
     {
         schedule.search.kind = kind;
         schedule.search.threads = threads;
-        return *this;
-    }
-
-    /**
-     * Tune the feedback-guided II search (kind kFeedback): the
-     * bottleneck-subgraph size cap handed to the infeasibility probe,
-     * whether proven-infeasible candidate IIs are skipped at all, and
-     * the exact backend's node budget per probe call. See
-     * sched::IiSearchOptions for the semantics and defaults.
-     */
-    PipelinerOptions&
-    withFeedback(int subgraph_cap, bool skip_infeasible = true,
-                 std::int64_t probe_budget = 200'000)
-    {
-        schedule.search.feedbackSubgraphCap = subgraph_cap;
-        schedule.search.feedbackSkipInfeasible = skip_infeasible;
-        schedule.search.feedbackProbeBudget = probe_budget;
         return *this;
     }
 

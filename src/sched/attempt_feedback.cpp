@@ -1,7 +1,5 @@
 #include "sched/attempt_feedback.hpp"
 
-#include <algorithm>
-
 #include "sched/mrt.hpp"
 #include "support/counters.hpp"
 
@@ -18,26 +16,6 @@ AttemptCounters::flushInto(support::Counters& counters,
     counters.unscheduleSteps += unscheduleSteps;
     counters.mrtMaskProbes += mrt.maskProbes();
     counters.mrtSlotScans += mrt.slotScans();
-}
-
-std::vector<graph::VertexId>
-AttemptFeedback::bottleneck(int cap) const
-{
-    std::vector<graph::VertexId> picked;
-    if (cap <= 0)
-        return picked;
-    picked.reserve(static_cast<std::size_t>(cap));
-    const auto push = [&](graph::VertexId v) {
-        if (static_cast<int>(picked.size()) >= cap)
-            return;
-        if (std::find(picked.begin(), picked.end(), v) == picked.end())
-            picked.push_back(v);
-    };
-    for (graph::VertexId v : unplaceable)
-        push(v);
-    for (const Displacement& d : displacements)
-        push(d.op);
-    return picked;
 }
 
 void

@@ -18,10 +18,8 @@ class ModuloReservationTable;
  * The strategy-neutral attempt vocabulary shared by every scheduling
  * backend (iterative, slack, exact) and every II-search strategy: why an
  * attempt ended, the per-step trace events, the batched hot-path
- * counters, and the AttemptFeedback report the feedback-guided II search
- * mines after a failed attempt. These types used to live in
- * iterative_scheduler.hpp / attempt_state.hpp; the old spellings remain
- * as one-release [[deprecated]] aliases below.
+ * counters, and the AttemptFeedback report that explains a failed
+ * attempt.
  */
 
 /** Why one schedule attempt ended the way it did. */
@@ -93,19 +91,16 @@ struct AttemptCounters
 };
 
 /**
- * What a failed attempt learned, reported by every backend through
- * IiAttemptOutcome so an II-search strategy can consume it (see
- * docs/ALGORITHM.md, "Feedback-guided search"). Population is gated on a
- * caller-provided sink — when nobody asks, the hot path does not pay for
+ * What a failed attempt learned, written by the iterative scheduler into
+ * the caller-provided IterativeScheduleOptions::feedback sink. Population
+ * is gated on that sink — when nobody asks, the hot path does not pay for
  * collection.
  *
  * The report names the attempt's *bottleneck*: the operations that could
  * not be placed at all (no usable alternative at this II), the
  * displacement storm (operations evicted most often while the budget
  * burned down), and the resource classes whose occupancy forced those
- * evictions. The feedback II search closes the storm vertices under
- * their dependence SCCs and hands the induced subgraph to the exact
- * backend to prove candidate IIs infeasible without attempting them.
+ * evictions — the answer to "why is II above MII?".
  */
 struct AttemptFeedback
 {
@@ -138,29 +133,9 @@ struct AttemptFeedback
      *  eviction count descending then resource id ascending. */
     std::vector<ResourceContention> contendedResources;
 
-    /** True when the report carries a usable bottleneck signal. */
-    bool
-    conclusive() const
-    {
-        return !unplaceable.empty() || !displacements.empty();
-    }
-
-    /**
-     * The bottleneck vertices, at most `cap` of them: unplaceable
-     * operations first (they alone prove infeasibility), then storm
-     * vertices in storm order, deduplicated.
-     */
-    std::vector<graph::VertexId> bottleneck(int cap) const;
-
-    /** Reset to the empty (inconclusive) report. */
+    /** Reset to the empty report. */
     void clear();
 };
-
-/** Deprecated spelling of AttemptCounters (moved from
- *  sched/attempt_state.hpp); will be removed next release. */
-using AttemptStats [[deprecated("use sched::AttemptCounters from "
-                                "sched/attempt_feedback.hpp")]] =
-    AttemptCounters;
 
 } // namespace ims::sched
 

@@ -16,7 +16,7 @@ finalizeAttemptFeedback(AttemptFeedback& feedback, int ii,
     feedback.ii = ii;
     feedback.status = status;
     // Successful attempts carry no bottleneck; cancelled attempts are
-    // abandoned speculation and must not steer a feedback-guided search.
+    // abandoned speculation with nothing to explain.
     if (status == AttemptStatus::kScheduled ||
         status == AttemptStatus::kCancelled) {
         return;

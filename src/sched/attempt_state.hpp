@@ -13,10 +13,6 @@
 
 namespace ims::sched {
 
-// The per-attempt instrumentation struct (formerly AttemptStats) moved
-// to sched/attempt_feedback.hpp as AttemptCounters, next to the rest of
-// the strategy-neutral attempt vocabulary.
-
 /**
  * Incremental Estart maintenance for Figure 5(b): per-op cached Estart
  * values updated by delta instead of re-walking every in-edge on each
@@ -178,8 +174,8 @@ ScheduleResult extractScheduleResult(const PartialSchedule& schedule,
                                      std::int64_t unschedules);
 
 /**
- * Build a failed attempt's AttemptFeedback report (shared by the
- * iterative and slack backends): the unplaceable operations at this II,
+ * Build a failed attempt's AttemptFeedback report (the iterative
+ * backend's IterativeScheduleOptions::feedback sink): the unplaceable operations at this II,
  * the displacement storm sorted by count descending then id ascending,
  * and the contended resource classes sorted by forced-eviction count —
  * all pure functions of the attempt, so the report is deterministic.

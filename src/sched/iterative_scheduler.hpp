@@ -18,11 +18,6 @@
 
 namespace ims::sched {
 
-// TraceEvent, AttemptStatus and the per-attempt counters moved to
-// sched/attempt_feedback.hpp (the strategy-neutral attempt vocabulary
-// shared by every backend); this header re-exports them via the include
-// above, so existing includers keep compiling unchanged.
-
 /** Options for one iterative-scheduling attempt. */
 struct IterativeScheduleOptions
 {

@@ -12,7 +12,8 @@
 #include "ir/loop.hpp"
 #include "machine/machine_model.hpp"
 #include "sched/exact_scheduler.hpp"
-#include "sched/modulo_scheduler.hpp"
+#include "sched/ii_search.hpp"
+#include "sched/iterative_scheduler.hpp"
 #include "support/counters.hpp"
 
 namespace ims::sched {
@@ -42,6 +43,35 @@ enum class SchedulerStrategy
 
 /** Stable lowercase name ("iterative", "slack", "exact"). */
 std::string schedulerStrategyName(SchedulerStrategy strategy);
+
+/** Outcome of modulo scheduling a loop. */
+struct ModuloScheduleOutcome
+{
+    ScheduleResult schedule;
+    /**
+     * Stable name of the backend that produced the schedule
+     * ("iterative", "slack", "exact" — see SchedulerStrategy), so
+     * downstream consumers (telemetry JSON, benches, scripts/check_perf)
+     * can assert which scheduler actually ran.
+     */
+    std::string scheduler = "iterative";
+    /** Resource-constrained lower bound. */
+    int resMii = 1;
+    /** MII = max(ResMII, RecMII) as computed by the production protocol. */
+    int mii = 1;
+    /** Number of candidate IIs attempted (>= 1). Deterministic: under a
+     *  racing search this counts the prefix [MII, winner], exactly the
+     *  attempts the linear search performs. */
+    int attempts = 0;
+    /** Per-attempt step budget (BudgetRatio * NumberOfOperations). */
+    std::int64_t budget = 0;
+    /** Scheduling steps summed over all attempts, failed ones included. */
+    std::int64_t totalSteps = 0;
+    /** Unschedule steps summed over all attempts. */
+    std::int64_t totalUnschedules = 0;
+    /** II-search strategy identity and race observability. */
+    IiSearchStats search;
+};
 
 /** Inverse of schedulerStrategyName; nullopt for unknown names. */
 std::optional<SchedulerStrategy>

@@ -7,7 +7,6 @@
 #include "mii/mii.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/attempt_state.hpp"
-#include "sched/feedback_probe.hpp"
 #include "sched/partial_schedule.hpp"
 #include "sched/schedule.hpp"
 #include "support/error.hpp"
@@ -34,21 +33,13 @@ class SlackAttempt
                  const machine::MachineModel& machine,
                  const graph::DepGraph& graph, int ii,
                  support::Counters* counters,
-                 const support::CancellationToken* cancel,
-                 AttemptFeedback* feedback = nullptr)
+                 const support::CancellationToken* cancel)
         : graph_(graph),
           ii_(ii),
           cancel_(cancel),
-          feedback_(feedback),
           dist_(graph, ii, counters),
           schedule_(graph, loop, machine, ii)
     {
-        if (feedback_ != nullptr) {
-            displaceCount_.assign(
-                static_cast<std::size_t>(graph.numVertices()), 0);
-            resourceEvictions_.assign(
-                static_cast<std::size_t>(machine.numResources()), 0);
-        }
     }
 
     bool
@@ -157,16 +148,6 @@ class SlackAttempt
     /** Batched counter deltas, flushed once per attempt by the driver. */
     const AttemptCounters& stats() const { return stats_; }
 
-    /** Write the bottleneck report (see finalizeAttemptFeedback). */
-    void
-    flushFeedback(AttemptStatus status)
-    {
-        if (feedback_ == nullptr)
-            return;
-        finalizeAttemptFeedback(*feedback_, ii_, status, schedule_, graph_,
-                                displaceCount_, resourceEvictions_);
-    }
-
   private:
     int
     numUnplaced() const
@@ -244,8 +225,6 @@ class SlackAttempt
         schedule_.remove(victim);
         ++unschedules;
         ++stats_.unscheduleSteps;
-        if (feedback_ != nullptr)
-            ++displaceCount_[victim];
     }
 
     /** Eject everything conflicting with any alternative at `slot`. */
@@ -257,21 +236,9 @@ class SlackAttempt
         for (std::size_t alt = 0; alt < alternatives.size(); ++alt) {
             if (compiled[alt].selfConflicts())
                 continue;
-            int evicted = 0;
             for (int victim : schedule_.mrt().conflictingOps(
                      alternatives[alt].table, slot)) {
                 eject(victim, unschedules);
-                ++evicted;
-            }
-            if (feedback_ != nullptr && evicted > 0) {
-                const auto& uses = alternatives[alt].table.uses();
-                for (std::size_t i = 0; i < uses.size(); ++i) {
-                    bool seen = false;
-                    for (std::size_t j = 0; j < i && !seen; ++j)
-                        seen = uses[j].resource == uses[i].resource;
-                    if (!seen)
-                        resourceEvictions_[uses[i].resource] += evicted;
-                }
             }
         }
     }
@@ -279,16 +246,12 @@ class SlackAttempt
     const graph::DepGraph& graph_;
     int ii_;
     const support::CancellationToken* cancel_;
-    AttemptFeedback* feedback_;
     bool cancelled_ = false;
     bool infeasible_ = false;
     mii::MinDistMatrix dist_;
     PartialSchedule schedule_;
     /** Batched instrumentation; `window` is const, hence mutable. */
     mutable AttemptCounters stats_;
-    /** Feedback-only (empty when feedback_ is null). */
-    std::vector<std::int32_t> displaceCount_;
-    std::vector<std::int64_t> resourceEvictions_;
 };
 
 } // namespace
@@ -306,23 +269,6 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         2, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    // Feedback strategy plumbing, as in runIterativeSchedule: the
-    // single feedback worker writes each failed attempt's bottleneck
-    // report into the outcome, and the probe decides skips with the
-    // exact backend on the accumulated bottleneck subgraph.
-    const bool wants_feedback =
-        options.search.kind == IiSearchKind::kFeedback;
-    std::optional<FeedbackProbe> prober;
-    IiInfeasibilityProbe probe;
-    if (wants_feedback && options.search.feedbackSkipInfeasible) {
-        prober.emplace(loop, machine, graph, sccs,
-                       options.search.feedbackSubgraphCap,
-                       options.search.feedbackProbeBudget);
-        probe = [&prober](int ii, const AttemptFeedback& feedback) {
-            return (*prober)(ii, feedback);
-        };
-    }
-
     // Every slack attempt builds its state (MinDist matrix, partial
     // schedule) from scratch, so unlike the iterative scheduler no
     // per-worker reuse is needed: the attempt callback is already safe
@@ -332,8 +278,7 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
             const support::CancellationToken& cancel) {
             IiAttemptOutcome out;
             SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
-                                 &cancel,
-                                 wants_feedback ? &out.feedback : nullptr);
+                                 &cancel);
             std::int64_t steps = 0;
             std::int64_t unschedules = 0;
             const bool scheduled = attempt.run(budget, steps, unschedules);
@@ -347,7 +292,6 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
                 out.status = AttemptStatus::kBudgetExhausted;
             attempt.stats().flushInto(out.counters,
                                       attempt.schedule().mrt());
-            attempt.flushFeedback(out.status);
             if (scheduled) {
                 out.schedule = extractScheduleResult(
                     attempt.schedule(), graph, ii, steps, unschedules);
@@ -356,8 +300,8 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
         };
 
     ModuloScheduleOutcome outcome = runIiSearch(
-        options.search, mii.resMii, mii.mii, budget, attempt, probe,
-        counters, options.telemetry, [&] {
+        options.search, mii.resMii, mii.mii, budget, attempt, counters,
+        options.telemetry, [&] {
             return "slack scheduler found no schedule for '" +
                    loop.name() + "' within " +
                    std::to_string(options.search.maxIiIncrease) +

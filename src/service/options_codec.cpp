@@ -1,6 +1,8 @@
 #include "service/options_codec.hpp"
 
+#include <cstdint>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
@@ -22,27 +24,48 @@ appendTrips(std::string& out, const std::vector<int>& trips)
     }
 }
 
+/** Thrown for a value that does not parse; reported with its line. */
+struct BadValue
+{
+};
+
+template <class T>
+T
+number(std::string_view text)
+{
+    const auto value = support::parseNumber<T>(text);
+    if (!value)
+        throw BadValue();
+    return *value;
+}
+
+bool
+flagValue(std::string_view text)
+{
+    if (text != "0" && text != "1")
+        throw BadValue();
+    return text == "1";
+}
+
 std::vector<int>
-parseTrips(const std::string& text)
+parseTrips(std::string_view text)
 {
     std::vector<int> trips;
     if (text == "-")
         return trips;
-    std::string item;
-    for (const char c : text + ",") {
-        if (c == ',') {
-            try {
-                trips.push_back(std::stoi(item));
-            } catch (const std::exception&) {
-                throw support::Error("options text: bad trip '" + item +
-                                     "'");
-            }
-            item.clear();
-        } else {
-            item += c;
+    while (true) {
+        const auto comma = text.find(',');
+        const auto item = text.substr(0, comma);
+        const auto trip = support::parseNumber<int>(item);
+        if (!trip) {
+            throw support::Error("options text: bad trip '" +
+                                 std::string(item) + "'");
         }
+        trips.push_back(*trip);
+        if (comma == std::string_view::npos)
+            return trips;
+        text.remove_prefix(comma + 1);
     }
-    return trips;
 }
 
 } // namespace
@@ -106,9 +129,9 @@ parseOptionsText(const std::string& text)
                 });
                 options.schedule.strategy = *strategy;
             } else if (key == "budget_ratio") {
-                options.schedule.search.budgetRatio = std::stod(value);
+                options.schedule.search.budgetRatio = number<double>(value);
             } else if (key == "max_ii_increase") {
-                options.schedule.search.maxIiIncrease = std::stoi(value);
+                options.schedule.search.maxIiIncrease = number<int>(value);
             } else if (key == "priority") {
                 const auto scheme = sched::prioritySchemeByName(value);
                 support::check(scheme.has_value(), [&] {
@@ -116,11 +139,12 @@ parseOptionsText(const std::string& text)
                 });
                 options.schedule.priority = *scheme;
             } else if (key == "forward_progress") {
-                options.schedule.forwardProgressRule = value == "1";
+                options.schedule.forwardProgressRule = flagValue(value);
             } else if (key == "random_seed") {
-                options.schedule.randomSeed = std::stoull(value);
+                options.schedule.randomSeed = number<std::uint64_t>(value);
             } else if (key == "exact_node_budget") {
-                options.schedule.exactNodeBudget = std::stoll(value);
+                options.schedule.exactNodeBudget =
+                    number<std::int64_t>(value);
             } else if (key == "delay_mode") {
                 const auto mode = graph::delayModeByName(value);
                 support::check(mode.has_value(), [&] {
@@ -128,21 +152,19 @@ parseOptionsText(const std::string& text)
                 });
                 options.graph.delayMode = *mode;
             } else if (key == "dsa_form") {
-                options.graph.dsaForm = value == "1";
+                options.graph.dsaForm = flagValue(value);
             } else if (key == "verify") {
-                options.verify = value == "1";
+                options.verify = flagValue(value);
             } else if (key == "verify_sim") {
-                options.verifySim = value == "1";
+                options.verifySim = flagValue(value);
             } else if (key == "verify_sim_trips") {
                 options.verifySimTrips = parseTrips(value);
             } else if (key == "verify_sim_seed") {
-                options.verifySimSeed = std::stoull(value);
+                options.verifySimSeed = number<std::uint64_t>(value);
             } else {
                 throw support::Error("unknown key '" + key + "'");
             }
-        } catch (const support::Error&) {
-            throw;
-        } catch (const std::exception&) {
+        } catch (const BadValue&) {
             throw support::Error("options text line " +
                                  std::to_string(line_no) + ": bad value '" +
                                  value + "' for '" + key + "'");

@@ -16,11 +16,6 @@ namespace ims::service {
  * produced PipelineResult:
  *  - the II-search strategy kind and worker count (the racing search is
  *    bit-identical to linear at any thread count, see docs/ALGORITHM.md),
- *  - the feedback-search knobs (subgraph cap, skip switch, probe
- *    budget): the feedback strategy's skips are sound infeasibility
- *    proofs, so its winning II and schedule equal the linear search's
- *    for every knob setting — feedback requests share cache lines with
- *    linear ones,
  *  - telemetry sinks and trace buffers (observability-only pointers).
  *
  * Everything else — backend strategy, BudgetRatio, maxIiIncrease,
@@ -35,7 +30,8 @@ std::string canonicalOptionsText(const core::PipelinerOptions& options);
 /**
  * Inverse of canonicalOptionsText, for cache persistence: rebuild a
  * PipelinerOptions (sinks null, II search linear) from the canonical
- * text. @throws support::Error on unknown keys or malformed values.
+ * text. Every value must parse in full (support::parseNumber; flags are
+ * "0" or "1"). @throws support::Error on unknown keys or malformed values.
  */
 core::PipelinerOptions parseOptionsText(const std::string& text);
 

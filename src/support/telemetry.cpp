@@ -382,7 +382,6 @@ PipelineTelemetry::toJson() const
     out += ",\"ii_attempts_wasted\":" + std::to_string(iiAttemptsWasted);
     out += ",\"ii_attempts_proven_infeasible\":" +
            std::to_string(iiAttemptsProvenInfeasible);
-    out += ",\"ii_skipped\":" + std::to_string(iiSkipped);
     out += ",\"ii_search_wall_seconds\":" +
            formatJsonDouble(iiSearchWallSeconds);
     out += ",\"ii_search_cpu_seconds\":" +
@@ -460,8 +459,6 @@ parseTelemetryJson(const std::string& json)
             t.iiAttemptsWasted = static_cast<int>(p.parseNumber());
         } else if (key == "ii_attempts_proven_infeasible") {
             t.iiAttemptsProvenInfeasible = static_cast<int>(p.parseNumber());
-        } else if (key == "ii_skipped") {
-            t.iiSkipped = static_cast<int>(p.parseNumber());
         } else if (key == "ii_search_wall_seconds") {
             t.iiSearchWallSeconds = p.parseNumber();
         } else if (key == "ii_search_cpu_seconds") {

@@ -155,10 +155,6 @@ struct PipelineTelemetry
      *  whose failures are budget exhaustions, not proofs). Stable
      *  across runs and thread counts. */
     int iiAttemptsProvenInfeasible = 0;
-    /** Candidate IIs the feedback search skipped after its probe proved
-     *  them infeasible (no attempt ran, no budget billed). Stable across
-     *  runs; 0 for the linear and racing strategies. */
-    int iiSkipped = 0;
     /** Wall-clock vs summed per-attempt time of the II search — their
      *  ratio is the overlap the racing strategy achieved. */
     double iiSearchWallSeconds = 0.0;

@@ -5,7 +5,9 @@
 
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
+#include "ir/loop_builder.hpp"
 #include "machine/cydra5.hpp"
+#include "machine/machine_builder.hpp"
 #include "machine/machines.hpp"
 #include "mii/mii.hpp"
 #include "sched/attempt_feedback.hpp"
@@ -367,6 +369,133 @@ TEST(VerifierTest, DetectsBadIi)
     EXPECT_FALSE(
         sched::verifySchedule(ctx.loop, ctx.machine, ctx.graph, bogus)
             .empty());
+}
+
+// ---------------------------------------------------------------------------
+// AttemptFeedback: the iterative scheduler's bottleneck report.
+
+/**
+ * kMul's only reservation alternative uses the `sparse` resource at
+ * times 0 and `c`, so it modulo-self-collides — and every attempt is
+ * infeasible — at each II dividing `c`. kAdd has two alternatives
+ * contending for `src_bus`.
+ */
+machine::MachineModel
+gapMachine(int c)
+{
+    machine::MachineBuilder b("gap");
+    b.addResource("src_bus");
+    b.addResource("alu0");
+    b.addResource("alu1");
+    b.addResource("sparse");
+    b.addResource("mem");
+    {
+        machine::ReservationTable t0, t1;
+        t0.addUse(0, 0);
+        t0.addUse(1, 1);
+        t1.addUse(0, 0);
+        t1.addUse(1, 2);
+        auto cfg = b.opcode(ir::Opcode::kAdd, 4);
+        cfg.alternative("a0", t0);
+        cfg.alternative("a1", t1);
+    }
+    {
+        machine::ReservationTable t;
+        t.addUse(0, 3);
+        t.addUse(c, 3);
+        auto cfg = b.opcode(ir::Opcode::kMul, 3);
+        cfg.alternative("m", t);
+    }
+    for (int i = 0; i < ir::kNumRealOpcodes; ++i) {
+        const auto op = static_cast<ir::Opcode>(i);
+        if (op == ir::Opcode::kAdd || op == ir::Opcode::kMul)
+            continue;
+        machine::ReservationTable t;
+        t.addUse(0, 4);
+        auto cfg = b.opcode(op, op == ir::Opcode::kLoad ? 2 : 1);
+        cfg.alternative("s", t);
+    }
+    return b.build();
+}
+
+/** A 4-add recurrence of distance 2 (RecMII 8), one kMul, two loads. */
+ir::Loop
+gapLoop()
+{
+    ir::LoopBuilder b("gap");
+    b.recurrence("c");
+    b.op(ir::Opcode::kAdd, "t0", {b.reg("c", 2), b.imm(1)});
+    b.op(ir::Opcode::kAdd, "t1", {b.reg("t0"), b.imm(1)});
+    b.op(ir::Opcode::kAdd, "t2", {b.reg("t1"), b.imm(1)});
+    b.op(ir::Opcode::kAdd, "c", {b.reg("t2"), b.imm(1)});
+    b.liveIn("x");
+    b.op(ir::Opcode::kMul, "p", {b.reg("x"), b.imm(3)});
+    b.load("f0", "A", 0, b.reg("x"));
+    b.load("f1", "A", 1, b.reg("x"));
+    b.closeLoop();
+    return b.build();
+}
+
+TEST(AttemptFeedbackTest, IterativeSchedulerPopulatesTheSink)
+{
+    const auto machine = gapMachine(90);
+    const auto loop = gapLoop();
+    const graph::VertexId gap_op = 4; // the kMul
+    ASSERT_EQ(loop.operation(gap_op).opcode, ir::Opcode::kMul);
+    const auto graph = graph::buildDepGraph(loop, machine);
+    const auto sccs = graph::findSccs(graph);
+
+    sched::AttemptFeedback sink;
+    sched::IterativeScheduleOptions options;
+    options.feedback = &sink;
+    sched::IterativeScheduler scheduler(loop, machine, graph, sccs,
+                                        options);
+    const std::int64_t budget = 2 * loop.size();
+
+    // II 9 divides 90: infeasible, and the report names the culprit.
+    sched::AttemptStatus status = sched::AttemptStatus::kScheduled;
+    EXPECT_FALSE(scheduler.trySchedule(9, budget, nullptr, &status)
+                     .has_value());
+    EXPECT_EQ(status, sched::AttemptStatus::kInfeasible);
+    EXPECT_EQ(sink.ii, 9);
+    EXPECT_EQ(sink.status, sched::AttemptStatus::kInfeasible);
+    EXPECT_EQ(sink.unplaceable, std::vector<graph::VertexId>{gap_op});
+
+    // II 8 (the recurrence bound) exhausts the budget: the report
+    // carries the displacement storm instead, sorted by count descending
+    // then id ascending, plus the resource classes that forced the
+    // evictions.
+    status = sched::AttemptStatus::kScheduled;
+    EXPECT_FALSE(scheduler.trySchedule(8, budget, nullptr, &status)
+                     .has_value());
+    EXPECT_EQ(status, sched::AttemptStatus::kBudgetExhausted);
+    EXPECT_EQ(sink.ii, 8);
+    EXPECT_TRUE(sink.unplaceable.empty());
+    ASSERT_FALSE(sink.displacements.empty());
+    for (std::size_t i = 1; i < sink.displacements.size(); ++i) {
+        const auto& prev = sink.displacements[i - 1];
+        const auto& cur = sink.displacements[i];
+        EXPECT_TRUE(prev.count > cur.count ||
+                    (prev.count == cur.count && prev.op < cur.op))
+            << "displacements not in deterministic storm order at " << i;
+    }
+    for (std::size_t i = 1; i < sink.contendedResources.size(); ++i) {
+        const auto& prev = sink.contendedResources[i - 1];
+        const auto& cur = sink.contendedResources[i];
+        EXPECT_TRUE(prev.evictions > cur.evictions ||
+                    (prev.evictions == cur.evictions &&
+                     prev.resource < cur.resource))
+            << "contended resources not in deterministic order at " << i;
+    }
+
+    // A successful attempt clears the report.
+    status = sched::AttemptStatus::kBudgetExhausted;
+    EXPECT_TRUE(scheduler.trySchedule(11, 1 << 20, nullptr, &status)
+                    .has_value());
+    EXPECT_EQ(status, sched::AttemptStatus::kScheduled);
+    EXPECT_TRUE(sink.unplaceable.empty());
+    EXPECT_TRUE(sink.displacements.empty());
+    EXPECT_TRUE(sink.contendedResources.empty());
 }
 
 } // namespace

@@ -36,17 +36,12 @@
  *                          (EC/LC control, compression, marshaling) to
  *                          match the sequential reference at every trip
  *   --exact-budget <n>     exact-backend node budget per candidate II
- *   --ii-search <linear|racing|feedback>  II search strategy the
- *                          pipeline under test uses; racing and feedback
- *                          must be bit-identical to linear, so the
- *                          campaign's thread-invariance and
- *                          sim-equivalence oracles double as a
- *                          determinism check for the race and for the
- *                          feedback probe's skip proofs
+ *   --ii-search <linear|racing>  II search strategy the pipeline
+ *                          under test uses; racing must be bit-identical
+ *                          to linear, so the campaign's thread-invariance
+ *                          and sim-equivalence oracles double as a
+ *                          determinism check for the race
  *   --ii-threads <n>       racing worker count per case (0 = hardware)
- *   --feedback-cap <n>     feedback search: bottleneck-subgraph cap
- *   --feedback-probe-budget <n>  feedback search: probe node budget
- *   --no-feedback-skip     feedback search: disable II skipping
  *   --inject-delay-fault   enable the deliberate dependence-delay bug
  *                          (memory flow delays forced to 0) to prove the
  *                          oracle + minimizer path end to end
@@ -88,9 +83,6 @@ struct CliOptions
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
     std::string iiSearch = "linear";
     int iiThreads = 0;
-    int feedbackCap = 12;
-    std::int64_t feedbackProbeBudget = 200'000;
-    bool feedbackSkip = true;
     bool injectDelayFault = false;
     std::string replayFile;
 };
@@ -108,10 +100,8 @@ usage(int code)
            "                [--scheduler iterative|slack|exact] "
            "[--oracle opt.ii_gap|program.equiv]\n"
            "                [--exact-budget N]\n"
-           "                [--ii-search linear|racing|feedback] "
+           "                [--ii-search linear|racing] "
            "[--ii-threads N]\n"
-           "                [--feedback-cap N] "
-           "[--feedback-probe-budget N] [--no-feedback-skip]\n"
            "       ims-fuzz --replay <file.repro>\n";
     std::exit(code);
 }
@@ -191,13 +181,6 @@ parseArgs(int argc, char** argv)
             options.iiSearch = next("a strategy name");
         else if (arg == "--ii-threads")
             options.iiThreads = std::stoi(next("a thread count"));
-        else if (arg == "--feedback-cap")
-            options.feedbackCap = std::stoi(next("a subgraph size cap"));
-        else if (arg == "--feedback-probe-budget")
-            options.feedbackProbeBudget =
-                std::stoll(next("a node budget"));
-        else if (arg == "--no-feedback-skip")
-            options.feedbackSkip = false;
         else if (arg == "--inject-delay-fault")
             options.injectDelayFault = true;
         else if (arg == "--replay")
@@ -230,8 +213,6 @@ pipelineOptions(const CliOptions& options)
     }
     return core::PipelinerOptions{}
         .withIiSearch(*kind, options.iiThreads)
-        .withFeedback(options.feedbackCap, options.feedbackSkip,
-                      options.feedbackProbeBudget)
         .withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
 }

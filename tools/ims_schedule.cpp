@@ -18,17 +18,10 @@
  *   --budget-ratio <r>       BudgetRatio (default 2.0; the paper's
  *                            quality studies use 6)
  *   --priority heightr|slack|source-order|random    (default heightr)
- *   --ii-search linear|racing|feedback   II search strategy (default
- *                            linear; racing and feedback are
- *                            deterministic — bit-identical winning
- *                            schedules at any thread count)
+ *   --ii-search linear|racing   II search strategy (default linear;
+ *                            racing is deterministic — bit-identical
+ *                            winning schedules at any thread count)
  *   --ii-threads <n>         racing worker count (0 = hardware)
- *   --feedback-cap <n>       feedback search: bottleneck-subgraph size
- *                            cap handed to the infeasibility probe
- *   --feedback-probe-budget <n>   feedback search: exact-backend node
- *                            budget per probe call
- *   --no-feedback-skip       feedback search: never skip candidate IIs
- *                            (degenerates to the linear walk)
  *   --listing                print the full prologue/kernel/epilogue
  *   --kernel-only            print the [36] kernel-only schema instead
  *   --trace                  print the per-step scheduling trace
@@ -82,9 +75,6 @@ struct CliOptions
     std::string priority = "heightr";
     std::string iiSearch = "linear";
     int iiThreads = 0;
-    int feedbackCap = 12;
-    std::int64_t feedbackProbeBudget = 200'000;
-    bool feedbackSkip = true;
     bool listing = false;
     bool kernelOnly = false;
     bool trace = false;
@@ -109,9 +99,7 @@ usage(int code)
            "  --scheduler iterative|slack|exact  --exact-budget <n>\n"
            "  --budget-ratio <r>   --priority "
            "heightr|slack|source-order|random\n"
-           "  --ii-search linear|racing|feedback  --ii-threads <n>\n"
-           "  --feedback-cap <n>  --feedback-probe-budget <n>  "
-           "--no-feedback-skip\n"
+           "  --ii-search linear|racing  --ii-threads <n>\n"
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
@@ -174,13 +162,6 @@ parseArgs(int argc, char** argv)
             options.iiSearch = next("a strategy name");
         else if (arg == "--ii-threads")
             options.iiThreads = std::stoi(next("a thread count"));
-        else if (arg == "--feedback-cap")
-            options.feedbackCap = std::stoi(next("a subgraph size cap"));
-        else if (arg == "--feedback-probe-budget")
-            options.feedbackProbeBudget =
-                std::stoll(next("a node budget"));
-        else if (arg == "--no-feedback-skip")
-            options.feedbackSkip = false;
         else if (arg == "--listing")
             options.listing = true;
         else if (arg == "--kernel-only")
@@ -245,8 +226,6 @@ processLoop(const ir::Loop& loop, const CliOptions& options,
         usage(2);
     }
     pipeline_options.withIiSearch(*search_kind, options.iiThreads);
-    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
-                                  options.feedbackProbeBudget);
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -337,8 +316,6 @@ processProgram(const program::Program& prog, const CliOptions& options,
     const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
     if (search_kind)
         pipeline_options.withIiSearch(*search_kind, options.iiThreads);
-    pipeline_options.withFeedback(options.feedbackCap, options.feedbackSkip,
-                                  options.feedbackProbeBudget);
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (strategy)

@@ -17,6 +17,7 @@
  *   --budget-ratio <r>    default BudgetRatio (2.0)
  *   --load-cache <path>   re-materialize a saved cache before serving
  *   --save-cache <path>   save the cache on quit/EOF
+ * A numeric value that does not parse in full prints usage and exits 2.
  *
  * Protocol (one request per line; multi-line payloads are byte-counted):
  *   schedule <bytes> [client=<name>] [machine=<name>]
@@ -49,6 +50,7 @@
 #include "sched/schedule.hpp"
 #include "service/schedule_service.hpp"
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace {
 
@@ -125,6 +127,19 @@ metaLine(const service::ServiceResponse& response)
     return out.str();
 }
 
+/** A numeric flag value parsed in full; usage and exit 2 otherwise. */
+template <class T>
+T
+numberOrUsage(const std::string& text)
+{
+    const auto value = support::parseNumber<T>(text);
+    if (!value) {
+        std::cerr << "ims-serve: bad number '" << text << "'\n";
+        usage(2);
+    }
+    return *value;
+}
+
 /** Read exactly `bytes` bytes (the payload of a byte-counted request). */
 bool
 readPayload(std::istream& in, std::size_t bytes, std::string& out)
@@ -152,15 +167,13 @@ main(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--threads")
-            options.threads = std::stoi(next());
+            options.threads = numberOrUsage<int>(next());
         else if (arg == "--cache-capacity")
-            options.cache.capacity =
-                static_cast<std::size_t>(std::stoul(next()));
+            options.cache.capacity = numberOrUsage<std::size_t>(next());
         else if (arg == "--cache-shards")
-            options.cache.shards = std::stoi(next());
+            options.cache.shards = numberOrUsage<int>(next());
         else if (arg == "--max-queue")
-            options.maxQueuedRequests =
-                static_cast<std::size_t>(std::stoul(next()));
+            options.maxQueuedRequests = numberOrUsage<std::size_t>(next());
         else if (arg == "--machine")
             default_machine = next();
         else if (arg == "--scheduler") {
@@ -169,7 +182,7 @@ main(int argc, char** argv)
                 usage(2);
             options.pipeline.withScheduler(*strategy);
         } else if (arg == "--budget-ratio")
-            options.pipeline.withBudgetRatio(std::stod(next()));
+            options.pipeline.withBudgetRatio(numberOrUsage<double>(next()));
         else if (arg == "--load-cache")
             load_path = next();
         else if (arg == "--save-cache")
