@@ -12,7 +12,8 @@
 #  4. a numeric flag value that does not parse in full, or a budget
 #     ratio that is not finite, prints usage and exits 2 instead of
 #     aborting, while a denormal budget ratio (a value the options codec
-#     round-trips) is accepted.
+#     round-trips) is accepted; ims-schedule and ims-fuzz read their
+#     numeric flags the same way.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -29,15 +30,20 @@ fi
 mkdir -p "$SMOKE_DIR"
 
 echo "== numeric flag validation (exit 2 with usage, never an abort) =="
-expect_exit() {
+expect_tool_exit() {
     local want="$1"
     shift
     local got=0
-    "$SERVE" --threads 1 "$@" < /dev/null > /dev/null 2>&1 || got=$?
+    "$@" < /dev/null > /dev/null 2>&1 || got=$?
     if [ "$got" -ne "$want" ]; then
-        echo "check_service: ims-serve $* exited $got, expected $want" >&2
+        echo "check_service: $* exited $got, expected $want" >&2
         exit 1
     fi
+}
+expect_exit() {
+    local want="$1"
+    shift
+    expect_tool_exit "$want" "$SERVE" --threads 1 "$@"
 }
 expect_exit 0 --budget-ratio 1e-310
 expect_exit 2 --budget-ratio 2abc
@@ -48,6 +54,23 @@ expect_exit 2 --threads abc
 expect_exit 2 --cache-capacity 12x
 expect_exit 2 --cache-shards ""
 expect_exit 2 --max-queue -1
+# The other command-line tools read their numeric flags the same way.
+SCHEDULE="$BUILD_DIR/tools/ims-schedule"
+FUZZ="$BUILD_DIR/tools/ims-fuzz"
+expect_tool_exit 0 "$SCHEDULE" --list-kernels --budget-ratio 2 --ii-threads 1
+expect_tool_exit 2 "$SCHEDULE" --budget-ratio abc
+expect_tool_exit 2 "$SCHEDULE" --budget-ratio inf
+expect_tool_exit 2 "$SCHEDULE" --exact-budget 10k
+expect_tool_exit 2 "$SCHEDULE" --ii-threads 2x
+expect_tool_exit 2 "$SCHEDULE" --simulate ""
+expect_tool_exit 0 "$FUZZ" --seed 7 --cases 2 --threads 1 --trips 0,3 \
+    --repro-dir none --out /dev/null
+expect_tool_exit 2 "$FUZZ" --seed -1
+expect_tool_exit 2 "$FUZZ" --cases 5x
+expect_tool_exit 2 "$FUZZ" --threads abc
+expect_tool_exit 2 "$FUZZ" --trips 1,x
+expect_tool_exit 2 "$FUZZ" --exact-budget 1e5
+expect_tool_exit 2 "$FUZZ" --ii-threads ""
 
 cat > "$SMOKE_DIR/daxpy.ir" <<'EOF'
 loop daxpy

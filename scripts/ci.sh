@@ -54,6 +54,16 @@ cmake --build build-asan -j
 (cd build-asan && \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure -j)
+# The racing and program fuzz smokes of stages 5 and 6 (same seeds) at
+# a small budget: their sim-equivalence oracles drive the pipelined
+# execution engine, which indexes flat register and memory arrays.
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    build-asan/tools/ims-fuzz --seed 20260806 --cases 100 \
+    --ii-search racing --ii-threads 2 --repro-dir none --out /dev/null
+UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+    build-asan/tools/ims-fuzz --seed 20260807 --cases 100 \
+    --machine cydra5 --oracle program.equiv --repro-dir none \
+    --out /dev/null
 
 if [ "${IMS_CI_SKIP_PERF:-0}" != "1" ]; then
     echo "==== stage 4/7: performance gate ===="

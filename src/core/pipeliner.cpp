@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <optional>
 #include <utility>
 
@@ -9,8 +10,7 @@
 #include "graph/scc.hpp"
 #include "mii/min_dist.hpp"
 #include "sched/verifier.hpp"
-#include "sim/pipeline_simulator.hpp"
-#include "sim/section_executor.hpp"
+#include "sim/issue_stream.hpp"
 #include "support/error.hpp"
 #include "workloads/kernels.hpp"
 
@@ -73,19 +73,34 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
     for (const auto& op : loop.operations())
         has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
 
-    // Kernel-only code depends on the schedule alone: generate it on the
-    // first trip that runs it and reuse it for the rest. A failed
-    // generation leaves it unset, so each later trip retries and reports.
-    std::optional<codegen::KernelOnlyCode> kernel_only;
+    // The loop is validated once; an invalid one fails the sequential
+    // reference at every trip.
+    std::exception_ptr invalid;
+    try {
+        loop.validate();
+    } catch (const std::exception&) {
+        invalid = std::current_exception();
+    }
+
+    // Each form is lowered on the first trip that runs it and reused for
+    // the rest. A failed lowering leaves its stream unset, so each later
+    // trip retries and reports.
+    std::optional<sim::IssueStream> flat;
+    std::optional<sim::IssueStream> generated;
+    std::optional<sim::IssueStream> kernel_only;
 
     for (const int trip : trips) {
         if (trip < 0)
             continue;
         const sim::SimSpec spec = workloads::makeSimSpec(loop, trip, seed);
 
+        std::optional<sim::InitialState> initial;
         std::optional<sim::SimResult> reference;
         try {
-            reference = sim::runSequential(loop, spec);
+            if (invalid)
+                std::rethrow_exception(invalid);
+            initial = sim::bindSpec(loop, spec);
+            reference = sim::runSequential(loop, *initial);
         } catch (const std::exception& error) {
             out.push_back({Diagnostic::Severity::kError, "verify",
                            "sequential reference failed at trip " +
@@ -94,9 +109,14 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
             continue;
         }
 
-        const auto compare = [&](const char* engine, auto&& run) {
+        const auto compare = [&](const char* engine,
+                                 std::optional<sim::IssueStream>& stream,
+                                 auto&& lower) {
             try {
-                const sim::SimResult got = run();
+                if (!stream)
+                    stream = lower();
+                const sim::SimResult got =
+                    sim::StreamEngine(loop, *stream, *initial).run();
                 const std::string diff =
                     sim::describeDifference(*reference, got);
                 if (!diff.empty()) {
@@ -116,24 +136,21 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
             }
         };
 
-        compare("pipelined", [&] {
-            return sim::runPipelined(loop, artifacts.outcome.schedule, spec)
-                .state;
+        compare("pipelined", flat, [&] {
+            return sim::lowerSchedule(loop, artifacts.outcome.schedule);
         });
         if (!has_exit && trip >= artifacts.code.kernel.stageCount) {
-            compare("generated_code", [&] {
-                return sim::runGeneratedCode(loop, artifacts.code, spec);
+            compare("generated_code", generated, [&] {
+                return sim::lowerGeneratedCode(loop, artifacts.code);
             });
         }
         if (!has_exit) {
             // No trip floor: the stage predicates make the kernel-only
             // schema valid at every trip count, including 0.
-            compare("kernel_only", [&] {
-                if (!kernel_only) {
-                    kernel_only = codegen::generateKernelOnly(
-                        loop, artifacts.outcome.schedule);
-                }
-                return sim::runKernelOnly(loop, *kernel_only, spec);
+            compare("kernel_only", kernel_only, [&] {
+                return sim::lowerKernelOnly(
+                    loop, codegen::generateKernelOnly(
+                              loop, artifacts.outcome.schedule));
             });
         }
     }

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace ims::fuzz {
 
@@ -24,12 +25,12 @@ singleLine(const std::string& text)
 std::uint64_t
 parseU64(const std::string& text, const std::string& key)
 {
-    try {
-        return std::stoull(text);
-    } catch (const std::exception&) {
+    const auto value = support::parseNumber<std::uint64_t>(text);
+    if (!value) {
         throw support::Error("reproducer: bad integer for '" + key +
                              "': " + text);
     }
+    return *value;
 }
 
 } // namespace

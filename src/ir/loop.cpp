@@ -48,13 +48,6 @@ Loop::addOperation(Operation operation)
     return operations_.back().id;
 }
 
-OpId
-Loop::definingOp(RegId reg) const
-{
-    assert(reg >= 0 && reg < numRegisters());
-    return defOf_[reg];
-}
-
 int
 Loop::maxDistance() const
 {

@@ -1,6 +1,7 @@
 #ifndef IMS_IR_LOOP_HPP
 #define IMS_IR_LOOP_HPP
 
+#include <cassert>
 #include <string>
 #include <vector>
 
@@ -73,7 +74,12 @@ class Loop
     int numArrays() const { return static_cast<int>(arrays_.size()); }
 
     /** The operation defining `reg`, or -1 for live-ins. */
-    OpId definingOp(RegId reg) const;
+    OpId
+    definingOp(RegId reg) const
+    {
+        assert(reg >= 0 && reg < numRegisters());
+        return defOf_[reg];
+    }
 
     /** Largest operand distance appearing anywhere in the body. */
     int maxDistance() const;

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace ims::machine {
 
@@ -115,12 +116,11 @@ parseMachine(const std::string& text)
                 fail(line_no, "unknown opcode '" + words[1] + "'");
             if (opcodes.count(*opcode))
                 fail(line_no, "duplicate opcode '" + words[1] + "'");
-            OpcodeInfo info;
-            try {
-                info.latency = std::stoi(words[2]);
-            } catch (const std::exception&) {
+            const auto latency = support::parseNumber<int>(words[2]);
+            if (!latency)
                 fail(line_no, "bad latency '" + words[2] + "'");
-            }
+            OpcodeInfo info;
+            info.latency = *latency;
             current = &opcodes.emplace(*opcode, std::move(info))
                            .first->second;
             continue;
@@ -137,17 +137,15 @@ parseMachine(const std::string& text)
                 if (colon == std::string::npos)
                     fail(line_no, "malformed use '" + words[k] +
                                       "' (want <time>:<resource>)");
-                int time = 0;
-                try {
-                    time = std::stoi(words[k].substr(0, colon));
-                } catch (const std::exception&) {
+                const auto time = support::parseNumber<int>(
+                    std::string_view(words[k]).substr(0, colon));
+                if (!time)
                     fail(line_no, "bad use time in '" + words[k] + "'");
-                }
                 const std::string resource = words[k].substr(colon + 1);
                 const auto it = resource_by_name.find(resource);
                 if (it == resource_by_name.end())
                     fail(line_no, "undeclared resource '" + resource + "'");
-                alt.table.addUse(time, it->second);
+                alt.table.addUse(*time, it->second);
             }
             current->alternatives.push_back(std::move(alt));
             continue;

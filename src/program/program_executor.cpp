@@ -4,10 +4,9 @@
 #include <cassert>
 #include <cmath>
 #include <set>
-#include <sstream>
 
+#include "sim/issue_stream.hpp"
 #include "sim/pipeline_simulator.hpp"
-#include "sim/section_executor.hpp"
 #include "support/error.hpp"
 #include "support/rng.hpp"
 
@@ -46,16 +45,6 @@ readCell(const ArrayStore& store, const std::string& array, int index)
         return 0.0;
     const auto cell = it->second.find(index);
     return cell == it->second.end() ? 0.0 : cell->second;
-}
-
-ir::ArrayId
-arrayIdByName(const ir::Loop& loop, const std::string& name)
-{
-    for (ir::ArrayId id = 0; id < loop.numArrays(); ++id) {
-        if (loop.arrays()[id].name == name)
-            return id;
-    }
-    return -1;
 }
 
 /** Loop-local simulation margin, identical to workloads::makeSimSpec. */
@@ -128,37 +117,30 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
     return spec;
 }
 
-/** Copy the loop's written arrays back into the program store. */
+/**
+ * Marshal a finished loop run out: the written arrays back into the
+ * store, the output bindings and the iteration count into the variables.
+ */
 void
-copyBackArrays(const LoopSection& loop, const sim::Memory& memory,
-               int trip, ArrayStore& store)
+marshalOut(const LoopSection& loop, const sim::SimResult& result, int trip,
+           Variables& variables, ArrayStore& store)
 {
     const int margin = loopMargin(loop.body);
     const int cells = loopStride(loop.body) * trip + 2 * margin;
-    std::set<std::string> written;
+    std::set<ir::ArrayId> written;
     for (const auto& op : loop.body.operations()) {
         if (op.isStore() && op.memRef)
-            written.insert(loop.body.arrays()[op.memRef->array].name);
+            written.insert(op.memRef->array);
     }
-    for (const auto& name : written) {
-        const ir::ArrayId id = arrayIdByName(loop.body, name);
-        const auto values = memory.snapshot(id, -margin, cells);
-        auto& cellsOut = store[name];
-        for (int k = 0; k < cells; ++k)
-            cellsOut[k - margin] = values[k];
+    for (const ir::ArrayId id : written) {
+        auto& cellsOut = store[loop.body.arrays()[id].name];
+        for (int k = -margin; k < cells - margin; ++k)
+            cellsOut[k] = result.memory.read(id, k);
     }
-}
-
-/** Apply output bindings and the iteration count after the loop ran. */
-void
-applyLoopOutputs(const LoopSection& loop,
-                 const std::map<std::string, sim::Value>& final_registers,
-                 int executed, int trip, Variables& variables)
-{
     if (trip >= 1 && !loop.hasEarlyExit()) {
         for (const auto& [var, reg] : loop.outputs) {
-            const auto it = final_registers.find(reg);
-            support::check(it != final_registers.end(), [&] {
+            const auto it = result.finalRegisters.find(reg);
+            support::check(it != result.finalRegisters.end(), [&] {
                 return "loop '" + loop.body.name() + "' output '" +
                        var + "': register '" + reg +
                        "' has no final value";
@@ -166,8 +148,10 @@ applyLoopOutputs(const LoopSection& loop,
             variables[var] = it->second;
         }
     }
-    if (!loop.itersVar.empty())
-        variables[loop.itersVar] = static_cast<sim::Value>(executed);
+    if (!loop.itersVar.empty()) {
+        variables[loop.itersVar] =
+            static_cast<sim::Value>(result.executedIterations);
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -394,9 +378,7 @@ runProgramSequential(const Program& program, const ProgramSpec& spec)
         makeLoopSpec(program.loop, spec.trip, variables, store);
     const sim::SimResult result =
         sim::runSequential(program.loop.body, loop_spec);
-    copyBackArrays(program.loop, result.memory, spec.trip, store);
-    applyLoopOutputs(program.loop, result.finalRegisters,
-                     result.executedIterations, spec.trip, variables);
+    marshalOut(program.loop, result, spec.trip, variables, store);
 
     for (const auto& block : program.postBlocks) {
         for (const auto& statement : block.statements)
@@ -437,9 +419,7 @@ runProgramCompiled(const CompiledProgram& compiled,
             makeLoopSpec(source.loop, trip, variables, store);
         const sim::PipelineResult result = sim::runPipelined(
             source.loop.body, compiled.loop.schedule, loop_spec);
-        copyBackArrays(source.loop, result.state.memory, trip, store);
-        applyLoopOutputs(source.loop, result.state.finalRegisters,
-                         result.state.executedIterations, trip, variables);
+        marshalOut(source.loop, result.state, trip, variables, store);
         for (const auto& block : compiled.post)
             BlockRun(block, variables)
                 .runCycles(0, block.cycleCount, variables, store);
@@ -451,42 +431,24 @@ runProgramCompiled(const CompiledProgram& compiled,
     const ir::Loop& body = source.loop.body;
     const auto& kernel = compiled.loop.body;
     const int ii = kernel.ii;
-    const int sc = kernel.stageCount;
 
-    const sim::SimSpec loop_spec =
-        makeLoopSpec(source.loop, trip, variables, store);
-    sim::Memory memory(body, trip, loop_spec.margin);
-    for (const auto& [name, init] : loop_spec.arrays) {
-        const ir::ArrayId id = arrayIdByName(body, name);
-        if (id >= 0)
-            memory.init(id, init.first, init.second);
-    }
-    sim::RegisterFile registers(body, loop_spec, trip);
-
-    // One kernel row under the stage predicates: repetition `rep`'s
-    // instance at stage s runs iteration rep - s when that iteration is
-    // live (0 <= rep - s < trip).
-    const auto runKernelRow = [&](int rep, int row) {
-        for (const bool store_phase : {false, true}) {
-            for (const auto& placement : kernel.cycles[row]) {
-                const int iter = rep - placement.stage;
-                if (iter < 0 || iter >= trip)
-                    continue;
-                sim::executeOpInstance(body.operation(placement.op), iter,
-                                       registers, memory, store_phase);
-            }
-        }
-    };
+    const sim::InitialState initial = sim::bindSpec(
+        body, makeLoopSpec(source.loop, trip, variables, store));
+    const sim::IssueStream stream = sim::lowerKernelOnly(body, kernel);
+    // engine.runRow(row, rep) runs one kernel row under the stage
+    // predicates: a stage-s placement runs iteration rep - s when that
+    // iteration is live (0 <= rep - s < trip).
+    sim::StreamEngine engine(body, stream, initial);
 
     // Ramp-up: SC-1 repetitions, interleaved with the held-back overlap
     // cycles of the final pre-loop block.
-    const int ramp = (sc - 1) * ii;
+    const int ramp = (kernel.stageCount - 1) * ii;
     const int preBase =
         lastPre.block ? lastPre.block->cycleCount - overlap : 0;
     for (int cycle = 0; cycle < ramp; ++cycle) {
         if (cycle < overlap)
             lastPre.runCycle(preBase + cycle, variables, store);
-        runKernelRow(cycle / ii, cycle % ii);
+        engine.runRow(cycle % ii, cycle / ii);
     }
     if (lastPre.block && overlap > ramp)
         lastPre.runCycles(preBase + ramp, lastPre.block->cycleCount,
@@ -505,20 +467,14 @@ runProgramCompiled(const CompiledProgram& compiled,
                std::to_string(trip);
     });
 
-    // Steady state: $lc unpredicated repetitions.
-    for (long long s = 0; s < lc; ++s) {
-        const int rep = sc - 1 + static_cast<int>(s);
-        for (int row = 0; row < ii; ++row)
-            runKernelRow(rep, row);
-    }
-
-    // Ramp-down: $ec repetitions, the last epilogue cycles interleaved
-    // with the first post-loop block's overlap cycles. The compiler
-    // chose the overlap in whole kernel repetitions, so clamping to the
-    // runtime drain length preserves the kernel-row alignment.
-    const int drain = static_cast<int>(ec) * ii;
+    // Steady state ($lc unpredicated repetitions), then ramp-down ($ec
+    // repetitions) whose last cycles interleave with the first post-loop
+    // block's overlap cycles. The compiler chose the overlap in whole
+    // kernel repetitions, so clamping to the runtime drain length
+    // preserves the kernel-row alignment.
+    const int end = ramp + static_cast<int>(lc + ec) * ii;
     const int postOverlap =
-        std::min(compiled.epilogueOverlap, drain);
+        std::min(compiled.epilogueOverlap, static_cast<int>(ec) * ii);
     std::set<std::string> marshaled;
     for (const auto& [var, reg] : source.loop.outputs)
         marshaled.insert(var);
@@ -527,25 +483,14 @@ runProgramCompiled(const CompiledProgram& compiled,
     BlockRun firstPost;
     if (!compiled.post.empty())
         firstPost = BlockRun(compiled.post.front(), variables, marshaled);
-    for (int cycle = 0; cycle < drain; ++cycle) {
-        const int rep = sc - 1 + static_cast<int>(lc) + cycle / ii;
-        runKernelRow(rep, cycle % ii);
-        if (cycle >= drain - postOverlap)
-            firstPost.runCycle(cycle - (drain - postOverlap), variables,
+    for (int cycle = ramp; cycle < end; ++cycle) {
+        engine.runRow(cycle % ii, cycle / ii);
+        if (cycle >= end - postOverlap)
+            firstPost.runCycle(cycle - (end - postOverlap), variables,
                                store);
     }
 
-    // Marshal out: written arrays, outputs, iteration count.
-    copyBackArrays(source.loop, memory, trip, store);
-    std::map<std::string, sim::Value> final_registers;
-    if (trip >= 1) {
-        for (ir::RegId reg = 0; reg < body.numRegisters(); ++reg) {
-            if (body.definingOp(reg) >= 0)
-                final_registers[body.reg(reg).name] =
-                    registers.read(reg, trip - 1);
-        }
-    }
-    applyLoopOutputs(source.loop, final_registers, trip, trip, variables);
+    marshalOut(source.loop, engine.finish(), trip, variables, store);
 
     // The post block's overlap cycles could not touch the marshaled
     // variables (compression eligibility), so refreshing their live-in

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cassert>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <mutex>
 #include <thread>
@@ -272,7 +273,9 @@ IiSearchResult
 searchIiRange(const IiSearchOptions& options, int min_ii, int max_ii,
               const IiAttemptFn& attempt)
 {
-    support::check(options.budgetRatio > 0, "BudgetRatio must be positive");
+    support::check(std::isfinite(options.budgetRatio) &&
+                       options.budgetRatio > 0,
+                   "BudgetRatio must be positive and finite");
     support::check(options.maxIiIncrease >= 0,
                    "maxIiIncrease must be non-negative");
     return runRace(iiSearchKindName(options.kind), min_ii, max_ii,

@@ -1,5 +1,7 @@
 #include "sched/schedule.hpp"
 
+#include <cmath>
+
 #include "graph/graph_builder.hpp"
 #include "support/error.hpp"
 
@@ -36,8 +38,9 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
          const graph::DepGraph& graph, const graph::SccResult& sccs,
          const ScheduleOptions& options, support::Counters* counters)
 {
-    support::check(options.search.budgetRatio > 0,
-                   "BudgetRatio must be positive");
+    support::check(std::isfinite(options.search.budgetRatio) &&
+                       options.search.budgetRatio > 0,
+                   "BudgetRatio must be positive and finite");
     support::check(options.trace == nullptr ||
                        (options.search.kind == IiSearchKind::kLinear &&
                         options.strategy == SchedulerStrategy::kIterative),

@@ -8,7 +8,7 @@
 namespace ims::sim {
 
 Memory::Memory(const ir::Loop& loop, int trip_count, int margin)
-    : tripCount_(trip_count), margin_(margin)
+    : margin_(margin), numArrays_(loop.numArrays())
 {
     assert(trip_count >= 0 && margin >= 0);
     int max_stride = 1;
@@ -16,45 +16,34 @@ Memory::Memory(const ir::Loop& loop, int trip_count, int margin)
         if (op.memRef)
             max_stride = std::max(max_stride, op.memRef->stride);
     }
-    arrays_.assign(
-        loop.numArrays(),
-        std::vector<Value>(static_cast<std::size_t>(trip_count) *
-                                   max_stride +
-                               2 * margin,
-                           0.0));
+    arrayCells_ = static_cast<std::size_t>(trip_count) * max_stride +
+                  2 * static_cast<std::size_t>(margin);
+    cells_.assign(arrayCells_ * numArrays_, 0.0);
 }
 
 std::size_t
 Memory::cellIndex(ir::ArrayId array, int index) const
 {
-    assert(array >= 0 && array < static_cast<int>(arrays_.size()));
+    assert(array >= 0 && array < numArrays_);
     const long long cell = static_cast<long long>(index) + margin_;
-    support::check(cell >= 0 &&
-                       cell < static_cast<long long>(arrays_[array].size()),
+    support::check(cell >= 0 && cell < static_cast<long long>(arrayCells_),
                    [&] {
                        return "array access out of simulated bounds (index " +
                               std::to_string(index) + "); increase the margin";
                    });
-    return static_cast<std::size_t>(cell);
-}
-
-void
-Memory::init(ir::ArrayId array, int first, const std::vector<Value>& contents)
-{
-    for (std::size_t k = 0; k < contents.size(); ++k)
-        write(array, first + static_cast<int>(k), contents[k]);
+    return array * arrayCells_ + static_cast<std::size_t>(cell);
 }
 
 Value
 Memory::read(ir::ArrayId array, int index) const
 {
-    return arrays_[array][cellIndex(array, index)];
+    return cells_[cellIndex(array, index)];
 }
 
 void
 Memory::write(ir::ArrayId array, int index, Value value)
 {
-    arrays_[array][cellIndex(array, index)] = value;
+    cells_[cellIndex(array, index)] = value;
 }
 
 std::vector<Value>
@@ -70,40 +59,25 @@ Memory::snapshot(ir::ArrayId array, int from, int count) const
 bool
 Memory::operator==(const Memory& other) const
 {
-    if (tripCount_ != other.tripCount_ || margin_ != other.margin_ ||
-        arrays_.size() != other.arrays_.size()) {
-        return false;
-    }
-    for (std::size_t a = 0; a < arrays_.size(); ++a) {
-        if (arrays_[a].size() != other.arrays_[a].size())
-            return false;
-        for (std::size_t k = 0; k < arrays_[a].size(); ++k) {
-            if (!sameValue(arrays_[a][k], other.arrays_[a][k]))
-                return false;
-        }
-    }
-    return true;
+    return firstDifference(other).empty();
 }
 
 std::string
 Memory::firstDifference(const Memory& other) const
 {
-    if (tripCount_ != other.tripCount_ || margin_ != other.margin_ ||
-        arrays_.size() != other.arrays_.size()) {
+    if (margin_ != other.margin_ || numArrays_ != other.numArrays_ ||
+        arrayCells_ != other.arrayCells_) {
         return "memory shapes differ";
     }
-    for (std::size_t a = 0; a < arrays_.size(); ++a) {
-        if (arrays_[a].size() != other.arrays_[a].size())
-            return "array " + std::to_string(a) + " sizes differ";
-        for (std::size_t k = 0; k < arrays_[a].size(); ++k) {
-            if (!sameValue(arrays_[a][k], other.arrays_[a][k])) {
-                const long long logical =
-                    static_cast<long long>(k) - margin_;
-                return "array " + std::to_string(a) + " logical index " +
-                       std::to_string(logical) + ": " +
-                       std::to_string(arrays_[a][k]) + " vs " +
-                       std::to_string(other.arrays_[a][k]);
-            }
+    for (std::size_t k = 0; k < cells_.size(); ++k) {
+        if (!sameValue(cells_[k], other.cells_[k])) {
+            const std::size_t array = k / arrayCells_;
+            const long long logical =
+                static_cast<long long>(k % arrayCells_) - margin_;
+            return "array " + std::to_string(array) + " logical index " +
+                   std::to_string(logical) + ": " +
+                   std::to_string(cells_[k]) + " vs " +
+                   std::to_string(other.cells_[k]);
         }
     }
     return "";

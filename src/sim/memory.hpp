@@ -1,7 +1,6 @@
 #ifndef IMS_SIM_MEMORY_HPP
 #define IMS_SIM_MEMORY_HPP
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,21 +25,12 @@ class Memory
      */
     Memory(const ir::Loop& loop, int trip_count, int margin);
 
-    /**
-     * Initialise array contents: `contents[k]` becomes logical index
-     * `first + k`. Unset elements default to 0.
-     */
-    void init(ir::ArrayId array, int first,
-              const std::vector<Value>& contents);
-
     Value read(ir::ArrayId array, int index) const;
     void write(ir::ArrayId array, int index, Value value);
 
     /** Logical elements [from, from + count). */
     std::vector<Value> snapshot(ir::ArrayId array, int from,
                                 int count) const;
-
-    int margin() const { return margin_; }
 
     /** Exact content equality with another Memory of identical shape. */
     bool operator==(const Memory& other) const;
@@ -55,9 +45,11 @@ class Memory
   private:
     std::size_t cellIndex(ir::ArrayId array, int index) const;
 
-    int tripCount_;
     int margin_;
-    std::vector<std::vector<Value>> arrays_;
+    int numArrays_;
+    /** Cells per array; array a owns cells_[a * arrayCells_, ...). */
+    std::size_t arrayCells_;
+    std::vector<Value> cells_;
 };
 
 } // namespace ims::sim

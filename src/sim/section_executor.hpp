@@ -3,23 +3,9 @@
 
 #include "codegen/code_generator.hpp"
 #include "codegen/kernel_only.hpp"
-#include "sim/register_file.hpp"
 #include "sim/sequential_interpreter.hpp"
 
 namespace ims::sim {
-
-/**
- * Execute one operation instance for a concrete iteration against the
- * shared register file and memory — the primitive every section-level
- * executor (and the program-level executor) is built on. Call once per
- * cycle with store_phase false (loads and ALU ops) and once with true
- * (stores), preserving the dependence model's same-cycle ordering.
- * Guarded instances whose predicate is false store nothing and write 0.0
- * to their destination, like both reference engines.
- */
-void executeOpInstance(const ir::Operation& op, int iter,
-                       RegisterFile& registers, Memory& memory,
-                       bool store_phase);
 
 /**
  * Execute the *generated code structure* — prologue once, the kernel

@@ -8,18 +8,7 @@ namespace ims::sim {
 bool
 equivalent(const SimResult& a, const SimResult& b)
 {
-    if (a.executedIterations != b.executedIterations)
-        return false;
-    if (!(a.memory == b.memory))
-        return false;
-    if (a.finalRegisters.size() != b.finalRegisters.size())
-        return false;
-    for (const auto& [name, value] : a.finalRegisters) {
-        const auto it = b.finalRegisters.find(name);
-        if (it == b.finalRegisters.end() || !sameValue(value, it->second))
-            return false;
-    }
-    return true;
+    return describeDifference(a, b).empty();
 }
 
 std::string
@@ -47,31 +36,52 @@ describeDifference(const SimResult& a, const SimResult& b)
     return "";
 }
 
+InitialState
+bindSpec(const ir::Loop& loop, const SimSpec& spec)
+{
+    support::check(spec.tripCount >= 0, "trip count must be non-negative");
+    const auto regs = static_cast<std::size_t>(loop.numRegisters());
+    InitialState state{spec.tripCount, std::vector<Value>(regs), {},
+                       std::vector<int>(regs), std::vector<int>(regs),
+                       Memory(loop, spec.tripCount, spec.margin)};
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        const auto& name = loop.reg(reg).name;
+        if (auto it = spec.liveIn.find(name); it != spec.liveIn.end())
+            state.liveIn[reg] = it->second;
+        if (auto it = spec.seeds.find(name); it != spec.seeds.end()) {
+            state.seedFirst[reg] = static_cast<int>(state.seeds.size());
+            state.seedCount[reg] = static_cast<int>(it->second.size());
+            state.seeds.insert(state.seeds.end(), it->second.begin(),
+                               it->second.end());
+        }
+    }
+    for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
+        const auto it = spec.arrays.find(loop.arrays()[array].name);
+        if (it == spec.arrays.end())
+            continue;
+        const auto& [first, contents] = it->second;
+        for (int k = 0; k < static_cast<int>(contents.size()); ++k)
+            state.memory.write(array, first + k, contents[k]);
+    }
+    return state;
+}
+
 SimResult
 runSequential(const ir::Loop& loop, const SimSpec& spec)
 {
     loop.validate();
-    support::check(spec.tripCount >= 0, "trip count must be non-negative");
+    return runSequential(loop, bindSpec(loop, spec));
+}
 
-    Memory memory(loop, spec.tripCount, spec.margin);
-    for (const auto& [name, init] : spec.arrays) {
-        for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-            if (loop.arrays()[array].name == name)
-                memory.init(array, init.first, init.second);
-        }
-    }
-    if (spec.tripCount == 0)
-        return SimResult{std::move(memory), {}, 0};
-
-    RegisterFile registers(loop, spec, spec.tripCount);
-
-    bool has_exit = false;
-    for (const auto& op : loop.operations())
-        has_exit = has_exit || op.opcode == ir::Opcode::kExitIf;
+SimResult
+runSequential(const ir::Loop& loop, const InitialState& initial)
+{
+    Memory memory = initial.memory;
+    RegisterFile registers(loop, initial);
 
     int executed = 0;
     bool exited = false;
-    for (int iter = 0; iter < spec.tripCount && !exited; ++iter) {
+    for (int iter = 0; iter < initial.tripCount && !exited; ++iter) {
         ++executed;
         for (const auto& op : loop.operations()) {
             const bool active =
@@ -106,23 +116,17 @@ runSequential(const ir::Loop& loop, const SimSpec& spec)
                     result = memory.read(op.memRef->array,
                                          op.memRef->stride * iter + op.memRef->offset);
                 } else {
-                    result = registers.compute(op, iter);
+                    Value sources[ir::kMaxSources];
+                    int count = 0;
+                    for (const auto& src : op.sources)
+                        sources[count++] = registers.readOperand(src, iter);
+                    result = evaluate(op.opcode, sources, count);
                 }
             }
             registers.write(op.dest, iter, result);
         }
     }
-
-    SimResult result{std::move(memory), {}, executed};
-    if (!has_exit) {
-        for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
-            if (loop.definingOp(reg) >= 0) {
-                result.finalRegisters[loop.reg(reg).name] =
-                    registers.read(reg, spec.tripCount - 1);
-            }
-        }
-    }
-    return result;
+    return SimResult{std::move(memory), registers.finalRegisters(), executed};
 }
 
 } // namespace ims::sim

@@ -17,7 +17,7 @@ struct SimSpec
     /**
      * Number of iterations to execute (>= 0). A zero trip count executes
      * nothing: the result is the initial memory image with no final
-     * registers (both engines agree on this, so 0-trip equivalence checks
+     * registers (every engine agrees on this, so 0-trip equivalence checks
      * exercise the "loop body never entered" paths).
      */
     int tripCount = 16;
@@ -57,6 +57,28 @@ struct SimResult
 };
 
 /**
+ * A SimSpec bound to one loop's ids, once per trip count: the sequential
+ * reference and the pipelined engine both start from it.
+ */
+struct InitialState
+{
+    int tripCount = 0;
+    /** Per register; 0 where the spec names none. */
+    std::vector<Value> liveIn;
+    /** Register r's seeds are seeds[seedFirst[r] .. + seedCount[r]). */
+    std::vector<Value> seeds;
+    std::vector<int> seedFirst;
+    std::vector<int> seedCount;
+    Memory memory;
+};
+
+/**
+ * @throws support::Error on a negative trip count, or initial array
+ *         contents outside the simulated bounds.
+ */
+InitialState bindSpec(const ir::Loop& loop, const SimSpec& spec);
+
+/**
  * NaN-tolerant equivalence between two final states (same arrays, same
  * register names, every value equal by sim::sameValue). The canonical
  * check that a pipelined execution preserved the loop's semantics.
@@ -74,14 +96,17 @@ std::string describeDifference(const SimResult& a, const SimResult& b);
 /**
  * Reference semantics: execute the loop iteration by iteration, operations
  * in program order. Guarded operations whose predicate is false perform no
- * store and write 0.0 to their destination (both engines share this rule,
- * making cross-engine comparison exact).
+ * store and write 0.0 to their destination (the pipelined engine shares
+ * this rule, making cross-engine comparison exact).
  *
  * @throws support::Error if an operation reads a same-iteration value
  *         whose definition appears later in program order (bodies must be
  *         listed in intra-iteration topological order).
  */
 SimResult runSequential(const ir::Loop& loop, const SimSpec& spec);
+
+/** runSequential from an already bound state. @pre loop.validate() passes. */
+SimResult runSequential(const ir::Loop& loop, const InitialState& initial);
 
 } // namespace ims::sim
 

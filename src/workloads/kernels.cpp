@@ -745,7 +745,8 @@ makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
             max_stride = std::max(max_stride, op.memRef->stride);
         }
     }
-    spec.margin = std::max(8, max_offset + loop.maxDistance() + 2);
+    const int max_distance = loop.maxDistance();
+    spec.margin = std::max(8, max_offset + max_distance + 2);
 
     const int cells = max_stride * trip_count + 2 * spec.margin;
     for (const auto& array : loop.arrays()) {
@@ -761,9 +762,10 @@ makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
             continue;
         spec.liveIn[reg.name] =
             reg.isPredicate ? 0.0 : rng.uniformReal() * 4.0 - 2.0;
-        if (loop.maxDistance() > 0) {
+        if (max_distance > 0) {
             std::vector<sim::Value> seeds;
-            for (int k = 0; k < loop.maxDistance(); ++k)
+            seeds.reserve(max_distance);
+            for (int k = 0; k < max_distance; ++k)
                 seeds.push_back(rng.uniformReal() * 4.0 - 2.0);
             spec.seeds[reg.name] = std::move(seeds);
         }

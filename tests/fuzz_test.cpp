@@ -20,6 +20,7 @@
 #include "ir/parser.hpp"
 #include "machine/cydra5.hpp"
 #include "machine/machine_io.hpp"
+#include "support/error.hpp"
 #include "support/rng.hpp"
 #include "workloads/kernels.hpp"
 
@@ -189,6 +190,34 @@ TEST(Campaign, InjectedDelayFaultIsCaughtMinimizedAndReplayable)
     const auto fixed = fuzz::runOracles(loop, machine,
                                         core::PipelinerOptions{}, oracle);
     EXPECT_FALSE(fixed.failed()) << fixed.code << ": " << fixed.message;
+}
+
+TEST(Reproducer, RoundTripsAndRejectsMalformedIntegers)
+{
+    fuzz::ReproducerCase repro;
+    repro.code = "sim.mismatch";
+    repro.message = "pipelined diverges";
+    repro.campaignSeed = 42;
+    repro.caseIndex = 7;
+    repro.caseSeed = 18446744073709551615ULL;
+    repro.simSeed = 2026;
+    repro.machineText = machine::printMachine(machine::cydra5());
+    repro.loopText = "loop l\n";
+    const std::string text = fuzz::renderReproducer(repro);
+    const fuzz::ReproducerCase parsed = fuzz::parseReproducer(text);
+    EXPECT_EQ(parsed.caseSeed, repro.caseSeed);
+    EXPECT_EQ(parsed.simSeed, repro.simSeed);
+
+    const std::string seed_line = "campaign-seed: 42\n";
+    ASSERT_NE(text.find(seed_line), std::string::npos);
+    for (const char* bad : {"42x", "-1", " 42", "4.2", "",
+                            "18446744073709551616"}) {
+        std::string corrupted = text;
+        corrupted.replace(text.find(seed_line), seed_line.size(),
+                          std::string("campaign-seed: ") + bad + "\n");
+        EXPECT_THROW(fuzz::parseReproducer(corrupted), support::Error)
+            << "'" << bad << "'";
+    }
 }
 
 TEST(Minimizer, ReturnsCleanInputUnchanged)

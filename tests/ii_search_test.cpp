@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -96,10 +97,15 @@ TEST(IiSearchTest, SearchRejectsBadOptions)
         ADD_FAILURE() << "no attempt may run on bad options";
         return sched::IiAttemptOutcome{};
     };
-    EXPECT_THROW(sched::searchIiRange(
-                     sched::IiSearchOptions{}.withBudgetRatio(0.0), 1, 4,
-                     never),
-                 support::Error);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double ratio :
+         {0.0, -1.0, inf, std::numeric_limits<double>::quiet_NaN()}) {
+        EXPECT_THROW(sched::searchIiRange(
+                         sched::IiSearchOptions{}.withBudgetRatio(ratio), 1,
+                         4, never),
+                     support::Error)
+            << ratio;
+    }
     EXPECT_THROW(sched::searchIiRange(
                      sched::IiSearchOptions{}.withMaxIiIncrease(-1), 1, 4,
                      never),

@@ -155,5 +155,20 @@ TEST(MachineIo, RejectsMalformedInput)
                  support::Error);
 }
 
+TEST(MachineIo, RejectsTrailingGarbageInNumbers)
+{
+    const std::string head = "machine m\nresource r0\n";
+    EXPECT_NO_THROW(
+        machine::parseMachine(head + "opcode add 5\nalt a 0:r0\n"));
+    for (const char* bad : {"opcode add 5x\nalt a 0:r0\n",
+                            "opcode add 5.0\nalt a 0:r0\n",
+                            "opcode add +5\nalt a 0:r0\n",
+                            "opcode add 5\nalt a 0x:r0\n",
+                            "opcode add 5\nalt a 1e0:r0\n"}) {
+        EXPECT_THROW(machine::parseMachine(head + bad), support::Error)
+            << bad;
+    }
+}
+
 } // namespace
 } // namespace ims

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <map>
 
 #include "graph/graph_builder.hpp"
@@ -151,11 +152,16 @@ TEST(ModuloSchedulerTest, BudgetRatioSixMatchesPaperQualitySetup)
 TEST(ModuloSchedulerTest, InvalidBudgetRatioRejected)
 {
     Context ctx("daxpy");
-    sched::ScheduleOptions options;
-    options.search.budgetRatio = 0.0;
-    EXPECT_THROW(sched::schedule(ctx.loop, ctx.machine, ctx.graph,
-                                 ctx.sccs, options),
-                 support::Error);
+    const double inf = std::numeric_limits<double>::infinity();
+    for (const double ratio :
+         {0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN()}) {
+        sched::ScheduleOptions options;
+        options.search.budgetRatio = ratio;
+        EXPECT_THROW(sched::schedule(ctx.loop, ctx.machine, ctx.graph,
+                                     ctx.sccs, options),
+                     support::Error)
+            << ratio;
+    }
 }
 
 TEST(ModuloSchedulerTest, AttemptsCountsCandidateIis)

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <vector>
+
 #include "core/pipeliner.hpp"
 #include "ir/loop_builder.hpp"
 #include "machine/cydra5.hpp"
 #include "codegen/kernel_only.hpp"
+#include "sim/issue_stream.hpp"
 #include "sim/memory.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/section_executor.hpp"
@@ -332,6 +337,179 @@ TEST(PipelineSimTest, TripCountOfOneStillWorks)
     const auto pipe =
         sim::runPipelined(w.loop, artifacts.outcome.schedule, spec);
     EXPECT_TRUE(sim::equivalent(seq, pipe.state));
+}
+
+ir::ArrayId
+arrayNamed(const ir::Loop& loop, const std::string& name)
+{
+    for (ir::ArrayId id = 0; id < loop.numArrays(); ++id) {
+        if (loop.arrays()[id].name == name)
+            return id;
+    }
+    ADD_FAILURE() << "no array " << name;
+    return 0;
+}
+
+TEST(IssueStreamTest, FlatRowsRunStoresLastAndOlderIterationsFirst)
+{
+    // II = 1 and a hand-made schedule. Iteration i's store to A[i + 1]
+    // shares a cycle with iteration i + 1's load of A[i + 1]: the load
+    // samples the old value. Iteration i's store to C[i + 1] (stage 1)
+    // shares a cycle with iteration i + 1's store to C[i + 1] (stage 0):
+    // the later iteration stores last, though its op id is lower.
+    ir::LoopBuilder b("same_cycle");
+    b.liveIn("a");
+    b.load("x", "A", 0, b.reg("a"));
+    b.store("A", 1, b.reg("a"), b.imm(7.0));
+    b.store("B", 0, b.reg("a"), b.reg("x"));
+    b.store("C", 0, b.reg("a"), b.imm(1.0));
+    b.store("C", 1, b.reg("a"), b.imm(2.0));
+    const ir::Loop loop = b.build();
+    sched::ScheduleResult schedule;
+    schedule.ii = 1;
+    schedule.times = {0, 1, 1, 0, 1};
+    schedule.alternatives = {0, 0, 0, 0, 0};
+    schedule.scheduleLength = 2;
+
+    const sim::IssueStream stream = sim::lowerSchedule(loop, schedule);
+    ASSERT_EQ(stream.numRows(), 1);
+    std::vector<std::pair<ir::OpId, int>> row;
+    for (const auto& slot : stream.slots)
+        row.emplace_back(slot.op, slot.iterationOffset);
+    EXPECT_EQ(row, (std::vector<std::pair<ir::OpId, int>>{
+                       {0, 0}, {1, -1}, {2, -1}, {4, -1}, {3, 0}}));
+
+    sim::SimSpec spec;
+    spec.tripCount = 4;
+    spec.margin = 2;
+    spec.arrays["A"] = {0, {10, 11, 12, 13, 14}};
+    const auto pipe = sim::runPipelined(loop, schedule, spec).state;
+    const ir::ArrayId B = arrayNamed(loop, "B");
+    const ir::ArrayId C = arrayNamed(loop, "C");
+    for (int i = 0; i < 4; ++i) {
+        EXPECT_DOUBLE_EQ(pipe.memory.read(B, i), 10.0 + i) << i;
+        EXPECT_DOUBLE_EQ(pipe.memory.read(C, i), 1.0) << i;
+    }
+    EXPECT_DOUBLE_EQ(pipe.memory.read(C, 4), 2.0);
+    // The sequential order sees the stores to A (the schedule breaks
+    // that memory dependence); both agree on C.
+    const auto seq = sim::runSequential(loop, spec);
+    EXPECT_DOUBLE_EQ(seq.memory.read(B, 1), 7.0);
+    for (int i = 0; i <= 4; ++i)
+        EXPECT_DOUBLE_EQ(seq.memory.read(C, i), pipe.memory.read(C, i));
+}
+
+/** The three pipelined forms of one loop, each its own artifact. */
+struct Forms
+{
+    sched::ScheduleResult schedule;
+    codegen::GeneratedCode code;
+    codegen::KernelOnlyCode kernelOnly;
+};
+
+/** Names of the forms that diverge from, or fail against, sequential. */
+std::set<std::string>
+failingForms(const ir::Loop& loop, const Forms& forms)
+{
+    std::set<std::string> failing;
+    const auto check = [&](const char* name, const sim::SimResult& expected,
+                           auto&& run) {
+        try {
+            if (sim::equivalent(expected, run()))
+                return;
+        } catch (const support::Error&) {
+        }
+        failing.insert(name);
+    };
+    const int stages = forms.code.kernel.stageCount;
+    for (const int trip : {2, stages, stages + 3}) {
+        const auto spec = workloads::makeSimSpec(loop, trip, 31);
+        const auto seq = sim::runSequential(loop, spec);
+        check("pipelined", seq, [&] {
+            return sim::runPipelined(loop, forms.schedule, spec).state;
+        });
+        if (trip >= stages) {
+            check("generated_code", seq, [&] {
+                return sim::runGeneratedCode(loop, forms.code, spec);
+            });
+        }
+        check("kernel_only", seq, [&] {
+            return sim::runKernelOnly(loop, forms.kernelOnly, spec);
+        });
+    }
+    return failing;
+}
+
+TEST(IssueStreamTest, EachLoweringChecksOnlyItsOwnArtifact)
+{
+    const auto w = workloads::kernelByName("daxpy");
+    const ir::Loop& loop = w.loop;
+    const auto artifacts =
+        core::SoftwarePipeliner(machine::cydra5())
+            .pipeline(core::PipelineRequest(loop))
+            .artifactsOrThrow();
+    const Forms intact{
+        artifacts.outcome.schedule, artifacts.code,
+        codegen::generateKernelOnly(loop, artifacts.outcome.schedule)};
+    const int last_stage = intact.kernelOnly.stageCount - 1;
+    ASSERT_GE(last_stage, 1);
+    EXPECT_TRUE(failingForms(loop, intact).empty());
+
+    // Schedule: a consumer issues one cycle before its producer.
+    Forms bad_schedule = intact;
+    bool moved = false;
+    for (const auto& op : loop.operations()) {
+        if (moved || op.isBranch())
+            continue;
+        for (const auto& src : op.sources) {
+            if (!src.isRegister() || src.distance != 0)
+                continue;
+            const ir::OpId producer = loop.definingOp(src.reg);
+            if (producer < 0 || intact.schedule.times[producer] < 1)
+                continue;
+            bad_schedule.schedule.times[op.id] =
+                intact.schedule.times[producer] - 1;
+            moved = true;
+            break;
+        }
+    }
+    ASSERT_TRUE(moved);
+    EXPECT_EQ(failingForms(loop, bad_schedule),
+              std::set<std::string>{"pipelined"});
+
+    // Generated code: an epilogue instance of the last iteration is
+    // retagged to the one before, so the last iteration never runs it.
+    Forms bad_code = intact;
+    bool retagged = false;
+    for (auto& cycle : bad_code.code.epilogue.cycles) {
+        for (auto& instance : cycle) {
+            if (!retagged && instance.iterationOffset == -1 &&
+                !loop.operation(instance.op).isBranch()) {
+                instance.iterationOffset = -2;
+                retagged = true;
+            }
+        }
+    }
+    ASSERT_TRUE(retagged);
+    EXPECT_EQ(failingForms(loop, bad_code),
+              std::set<std::string>{"generated_code"});
+
+    // Kernel-only code: a last-stage placement moves one stage later,
+    // past the final repetition of the last iteration.
+    Forms bad_kernel = intact;
+    bool restaged = false;
+    for (auto& cycle : bad_kernel.kernelOnly.cycles) {
+        for (auto& placement : cycle) {
+            if (!restaged && placement.stage == last_stage &&
+                !loop.operation(placement.op).isBranch()) {
+                placement.stage = last_stage + 1;
+                restaged = true;
+            }
+        }
+    }
+    ASSERT_TRUE(restaged);
+    EXPECT_EQ(failingForms(loop, bad_kernel),
+              std::set<std::string>{"kernel_only"});
 }
 
 } // namespace

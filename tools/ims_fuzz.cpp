@@ -63,6 +63,7 @@
 #include "machine/cydra5.hpp"
 #include "machine/machine_io.hpp"
 #include "machine/machines.hpp"
+#include "support/table.hpp"
 
 namespace {
 
@@ -106,6 +107,19 @@ usage(int code)
     std::exit(code);
 }
 
+/** `text` parsed in full (support::parseNumber), or usage and exit 2. */
+template <class T>
+T
+numberOrUsage(const std::string& text)
+{
+    const auto value = support::parseNumber<T>(text);
+    if (!value) {
+        std::cerr << "ims-fuzz: bad number '" << text << "'\n";
+        usage(2);
+    }
+    return *value;
+}
+
 std::vector<int>
 parseTrips(const std::string& text)
 {
@@ -114,7 +128,7 @@ parseTrips(const std::string& text)
     for (const char c : text + ",") {
         if (c == ',') {
             if (!current.empty()) {
-                trips.push_back(std::stoi(current));
+                trips.push_back(numberOrUsage<int>(current));
                 current.clear();
             }
         } else {
@@ -156,11 +170,11 @@ parseArgs(int argc, char** argv)
             return argv[++i];
         };
         if (arg == "--seed")
-            options.seed = std::stoull(next("a seed"));
+            options.seed = numberOrUsage<std::uint64_t>(next("a seed"));
         else if (arg == "--cases")
-            options.cases = std::stoi(next("a count"));
+            options.cases = numberOrUsage<int>(next("a count"));
         else if (arg == "--threads")
-            options.threads = std::stoi(next("a count"));
+            options.threads = numberOrUsage<int>(next("a count"));
         else if (arg == "--machine")
             options.machine = next("a machine file or name");
         else if (arg == "--out")
@@ -176,11 +190,12 @@ parseArgs(int argc, char** argv)
         else if (arg == "--oracle")
             options.oracles.push_back(next("an oracle name"));
         else if (arg == "--exact-budget")
-            options.exactBudget = std::stoll(next("a node budget"));
+            options.exactBudget =
+                numberOrUsage<std::int64_t>(next("a node budget"));
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
         else if (arg == "--ii-threads")
-            options.iiThreads = std::stoi(next("a thread count"));
+            options.iiThreads = numberOrUsage<int>(next("a thread count"));
         else if (arg == "--inject-delay-fault")
             options.injectDelayFault = true;
         else if (arg == "--replay")

@@ -59,6 +59,7 @@
 #include "sched/attempt_feedback.hpp"
 #include "sim/pipeline_simulator.hpp"
 #include "sim/sequential_interpreter.hpp"
+#include "support/table.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/programs.hpp"
 
@@ -103,6 +104,19 @@ usage(int code)
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
+}
+
+/** `text` parsed in full (support::parseNumber), or usage and exit 2. */
+template <class T>
+T
+numberOrUsage(const std::string& text)
+{
+    const auto value = support::parseNumber<T>(text);
+    if (!value) {
+        std::cerr << "ims-schedule: bad number '" << text << "'\n";
+        usage(2);
+    }
+    return *value;
 }
 
 machine::MachineModel
@@ -153,15 +167,16 @@ parseArgs(int argc, char** argv)
         else if (arg == "--scheduler")
             options.scheduler = next("a backend name");
         else if (arg == "--exact-budget")
-            options.exactBudget = std::stoll(next("a node budget"));
+            options.exactBudget =
+                numberOrUsage<std::int64_t>(next("a node budget"));
         else if (arg == "--budget-ratio")
-            options.budgetRatio = std::stod(next("a ratio"));
+            options.budgetRatio = numberOrUsage<double>(next("a ratio"));
         else if (arg == "--priority")
             options.priority = next("a scheme");
         else if (arg == "--ii-search")
             options.iiSearch = next("a strategy name");
         else if (arg == "--ii-threads")
-            options.iiThreads = std::stoi(next("a thread count"));
+            options.iiThreads = numberOrUsage<int>(next("a thread count"));
         else if (arg == "--listing")
             options.listing = true;
         else if (arg == "--kernel-only")
@@ -171,7 +186,7 @@ parseArgs(int argc, char** argv)
         else if (arg == "--telemetry")
             options.telemetry = true;
         else if (arg == "--simulate")
-            options.simulateTrip = std::stoi(next("a trip count"));
+            options.simulateTrip = numberOrUsage<int>(next("a trip count"));
         else if (arg == "--verify")
             options.verify = true;
         else if (arg == "--quiet")
