@@ -9,16 +9,11 @@
 #     8 threads over 1 thread — enforced only when the host reports >= 8
 #     hardware threads; smaller machines record the ratio with
 #     "gate_enforced": false in the JSON.
-#  2. bench_ii_search — racing-vs-linear II search: bit-identity of
-#     racing results is always enforced; the >=1.5x geomean racing
-#     speedup floor at 8 threads is enforced only when the host has at
-#     least 8 hardware threads (the bench reports the gate as skipped
-#     otherwise, and records the core count in the JSON).
-#  3. bench_service — schedule-cache traffic replay: cache hits must be
+#  2. bench_service — schedule-cache traffic replay: cache hits must be
 #     bit-identical to cold runs, the replay pass must hit >=95% of the
 #     time, and the hit-path p50 latency must be >=10x faster than the
 #     cold-path p50.
-#  4. bench_program_compile — whole-program driver gates: pipeline
+#  3. bench_program_compile — whole-program driver gates: pipeline
 #     compression must never increase the cycle count on any corpus
 #     program at any checked trip, must strictly reduce it on at least
 #     one, and every compiled program must match the sequential
@@ -30,7 +25,6 @@
 #   <build-dir>/bench/bench_sched_hotpath \
 #       --golden bench/data/sched_identity_seed.json \
 #       --out BENCH_sched_hotpath.json
-#   <build-dir>/bench/bench_ii_search --out BENCH_ii_search.json
 #   <build-dir>/bench/bench_service --out BENCH_service.json
 #   <build-dir>/bench/bench_program_compile --out BENCH_program.json
 # and commit the new BENCH_*.json files.
@@ -46,8 +40,8 @@ if [ ! -f "$BASELINE" ]; then
 fi
 
 cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
-cmake --build "$BUILD_DIR" -j --target bench_sched_hotpath bench_ii_search \
-    bench_service bench_program_compile
+cmake --build "$BUILD_DIR" -j --target bench_sched_hotpath bench_service \
+    bench_program_compile
 
 echo "== bench_sched_hotpath (identity + >10% regression + scaling gate) =="
 "$BUILD_DIR/bench/bench_sched_hotpath" \
@@ -55,10 +49,6 @@ echo "== bench_sched_hotpath (identity + >10% regression + scaling gate) =="
     --baseline "$BASELINE" \
     --scaling-gate \
     --out "$BUILD_DIR/BENCH_sched_hotpath.json"
-
-echo "== bench_ii_search (racing identity + hardware-gated speedup) =="
-"$BUILD_DIR/bench/bench_ii_search" \
-    --out "$BUILD_DIR/BENCH_ii_search.json"
 
 echo "== scheduler backend gate (exact must stay off the hot path) =="
 # The hot-path configurations use default options, which select the

@@ -13,7 +13,10 @@
 #     ratio that is not finite, prints usage and exits 2 instead of
 #     aborting, while a denormal budget ratio (a value the options codec
 #     round-trips) is accepted; ims-schedule and ims-fuzz read their
-#     numeric flags the same way.
+#     numeric flags the same way, and reject an unknown flag with exit 2,
+#  5. a `schedule` request whose byte count far exceeds the bytes sent
+#     gets the truncated-payload error under a 1 GB address-space limit,
+#     instead of aborting on an up-front allocation.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -57,11 +60,10 @@ expect_exit 2 --max-queue -1
 # The other command-line tools read their numeric flags the same way.
 SCHEDULE="$BUILD_DIR/tools/ims-schedule"
 FUZZ="$BUILD_DIR/tools/ims-fuzz"
-expect_tool_exit 0 "$SCHEDULE" --list-kernels --budget-ratio 2 --ii-threads 1
+expect_tool_exit 0 "$SCHEDULE" --list-kernels --budget-ratio 2
 expect_tool_exit 2 "$SCHEDULE" --budget-ratio abc
 expect_tool_exit 2 "$SCHEDULE" --budget-ratio inf
 expect_tool_exit 2 "$SCHEDULE" --exact-budget 10k
-expect_tool_exit 2 "$SCHEDULE" --ii-threads 2x
 expect_tool_exit 2 "$SCHEDULE" --simulate ""
 expect_tool_exit 0 "$FUZZ" --seed 7 --cases 2 --threads 1 --trips 0,3 \
     --repro-dir none --out /dev/null
@@ -70,7 +72,29 @@ expect_tool_exit 2 "$FUZZ" --cases 5x
 expect_tool_exit 2 "$FUZZ" --threads abc
 expect_tool_exit 2 "$FUZZ" --trips 1,x
 expect_tool_exit 2 "$FUZZ" --exact-budget 1e5
-expect_tool_exit 2 "$FUZZ" --ii-threads ""
+# The II search is always linear: its old flags are unknown options.
+for tool in "$SCHEDULE" "$FUZZ"; do
+    expect_tool_exit 2 "$tool" --ii-search racing
+    message=$("$tool" --ii-search racing 2>&1 < /dev/null || true)
+    case "$message" in
+      *"unknown option '--ii-search'"*) ;;
+      *)
+        echo "check_service: $tool did not reject --ii-search as unknown" >&2
+        exit 1
+        ;;
+    esac
+done
+
+echo "== oversized byte count (truncated-payload error, never an abort) =="
+huge=$( (ulimit -v 1000000
+         printf 'schedule 100000000000\n' | "$SERVE" --threads 1) ) || {
+    echo "check_service: ims-serve died on an oversized byte count" >&2
+    exit 1
+}
+if [ "$huge" != "error service.bad_request truncated payload" ]; then
+    echo "check_service: oversized byte count answered '$huge'" >&2
+    exit 1
+fi
 
 cat > "$SMOKE_DIR/daxpy.ir" <<'EOF'
 loop daxpy

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Build the concurrent components under ThreadSanitizer — the batch
-# driver, the racing II search, and the schedule service's worker pool
-# and sharded cache — and run their tests plus a small multi-threaded
-# bench sweep. Any data race fails the script.
+# driver and the schedule service's worker pool and sharded cache — and
+# run their tests plus a small multi-threaded bench sweep. program_test
+# runs too: the program compiler is single-threaded, but it drives every
+# library layer the service's workers run. Any data race fails the
+# script.
 #
 # Usage: scripts/check_tsan.sh [build-dir]   (default: build-tsan)
 set -euo pipefail
@@ -14,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DIMS_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j \
     --target batch_pipeliner_test telemetry_test pipeliner_test \
-             ii_search_test service_test bench_batch_throughput
+             service_test program_test bench_batch_throughput
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -24,10 +26,10 @@ echo "== telemetry_test (tsan) =="
 "$BUILD_DIR/tests/telemetry_test"
 echo "== pipeliner_test (tsan) =="
 "$BUILD_DIR/tests/pipeliner_test"
-echo "== ii_search_test (tsan) =="
-"$BUILD_DIR/tests/ii_search_test"
 echo "== service_test (tsan) =="
 "$BUILD_DIR/tests/service_test"
+echo "== program_test (tsan) =="
+"$BUILD_DIR/tests/program_test"
 echo "== bench_batch_throughput (tsan, small sweep) =="
 "$BUILD_DIR/bench/bench_batch_throughput" --loops 40 --threads 1,4,8
 

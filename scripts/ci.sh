@@ -54,12 +54,12 @@ cmake --build build-asan -j
 (cd build-asan && \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     ctest --output-on-failure -j)
-# The racing and program fuzz smokes of stages 5 and 6 (same seeds) at
-# a small budget: their sim-equivalence oracles drive the pipelined
+# The fuzz and program fuzz smokes of stages 5 and 6 (same seeds) at a
+# small budget: their sim-equivalence oracles drive the pipelined
 # execution engine, which indexes flat register and memory arrays.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     build-asan/tools/ims-fuzz --seed 20260806 --cases 100 \
-    --ii-search racing --ii-threads 2 --repro-dir none --out /dev/null
+    --repro-dir none --out /dev/null
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
     build-asan/tools/ims-fuzz --seed 20260807 --cases 100 \
     --machine cydra5 --oracle program.equiv --repro-dir none \
@@ -76,12 +76,8 @@ if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
     echo "==== stage 5/7: differential fuzz smoke ===="
     # Fixed seed so the stage is reproducible; any finding fails CI and
     # leaves its minimized reproducer under build/fuzz-repro/ for replay
-    # with `build/tools/ims-fuzz --replay <file>`. The pipeline under
-    # test uses the racing II search, so the campaign's sim-equivalence
-    # and thread-invariance oracles double as a determinism check for
-    # the race (racing must be bit-identical to linear).
+    # with `build/tools/ims-fuzz --replay <file>`.
     build/tools/ims-fuzz --seed 20260806 --cases "${FUZZ_BUDGET:-500}" \
-        --ii-search racing --ii-threads 2 \
         --repro-dir build/fuzz-repro --out build/fuzz-report.json
     # Optimality smoke: re-pipeline each clean case with the exact
     # backend (capped node budget; budget-exhausted searches are

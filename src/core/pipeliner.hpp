@@ -27,8 +27,6 @@ namespace ims::core {
  *    the exact backend; see sched/schedule.hpp);
  *  - priority: HeightR, forward-progress rule on;
  *  - BudgetRatio 2.0 (the paper's recommendation), maxIiIncrease 4096;
- *  - II search: linear (withIiSearch selects the deterministic racing
- *    strategy; see sched/ii_search.hpp);
  *  - independent schedule verification on;
  *  - no telemetry sink.
  *
@@ -82,33 +80,6 @@ struct PipelinerOptions
     withMaxIiIncrease(int increase)
     {
         schedule.search.maxIiIncrease = increase;
-        return *this;
-    }
-
-    /**
-     * Replace the II-search policy wholesale (strategy kind, BudgetRatio,
-     * maxIiIncrease, racing worker count).
-     */
-    PipelinerOptions&
-    withIiSearch(sched::IiSearchOptions search)
-    {
-        schedule.search = search;
-        return *this;
-    }
-
-    /**
-     * Select the II-search strategy, keeping the budget knobs: e.g.
-     * `withIiSearch(sched::IiSearchKind::kRacing, 8)`. `threads` <= 0
-     * means hardware concurrency (racing only). The racing strategy is
-     * deterministic: the winning II and schedule are bit-identical to
-     * the linear search at any thread count (see docs/ALGORITHM.md, "II
-     * search strategies").
-     */
-    PipelinerOptions&
-    withIiSearch(sched::IiSearchKind kind, int threads = 0)
-    {
-        schedule.search.kind = kind;
-        schedule.search.threads = threads;
         return *this;
     }
 

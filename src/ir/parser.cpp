@@ -9,6 +9,7 @@
 
 #include "ir/loop_builder.hpp"
 #include "support/error.hpp"
+#include "support/table.hpp"
 
 namespace ims::ir {
 
@@ -60,13 +61,6 @@ fail(int line_no, const std::string& message)
     throw support::Error("line " + std::to_string(line_no) + ": " + message);
 }
 
-/** std::stoi of `text`: leading blanks, an integer prefix, or a throw. */
-int
-parseInt(std::string_view text)
-{
-    return std::stoi(std::string(text));
-}
-
 /** strtod of the whole `literal`, or nothing if it is not all number. */
 std::optional<double>
 parseImmediate(std::string_view literal)
@@ -107,11 +101,10 @@ parseRegRef(std::string_view token, int line_no)
     const std::string_view name = token.substr(0, bracket);
     const std::string_view dist =
         token.substr(bracket + 1, token.size() - bracket - 2);
-    try {
-        return {name, parseInt(dist)};
-    } catch (const std::exception&) {
+    const auto distance = support::parseNumber<int>(dist);
+    if (!distance)
         fail(line_no, "bad distance in '" + std::string(token) + "'");
-    }
+    return {name, *distance};
 }
 
 } // namespace
@@ -213,14 +206,13 @@ parseLoop(const std::string& text)
             splitWords(operand_text.substr(at_pos + 1), mem_words);
             if (mem_words.size() != 2 && mem_words.size() != 3)
                 fail(line_no, "expected '@ <array> <offset> [stride]'");
-            try {
-                mem = MemSpec{std::string(mem_words[0]),
-                              parseInt(mem_words[1]),
-                              mem_words.size() == 3 ? parseInt(mem_words[2])
-                                                    : 1};
-            } catch (const std::exception&) {
+            const auto offset = support::parseNumber<int>(mem_words[1]);
+            const auto stride = mem_words.size() == 3
+                                    ? support::parseNumber<int>(mem_words[2])
+                                    : std::optional<int>(1);
+            if (!offset || !stride)
                 fail(line_no, "bad memory offset/stride");
-            }
+            mem = MemSpec{std::string(mem_words[0]), *offset, *stride};
             operand_text = cleanLine(operand_text.substr(0, at_pos));
         }
 

@@ -16,10 +16,9 @@ class ModuloReservationTable;
 
 /**
  * The strategy-neutral attempt vocabulary shared by every scheduling
- * backend (iterative, slack, exact) and every II-search strategy: why an
- * attempt ended, the per-step trace events, the batched hot-path
- * counters, and the AttemptFeedback report that explains a failed
- * attempt.
+ * backend (iterative, slack, exact): why an attempt ended, the per-step
+ * trace events, the batched hot-path counters, and the AttemptFeedback
+ * report that explains a failed attempt.
  */
 
 /** Why one schedule attempt ended the way it did. */
@@ -31,8 +30,6 @@ enum class AttemptStatus
     kBudgetExhausted,
     /** Some operation has no usable alternative at this II. */
     kInfeasible,
-    /** The cancellation token's ceiling dropped below this II mid-run. */
-    kCancelled,
 };
 
 /**

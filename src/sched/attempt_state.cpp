@@ -15,12 +15,9 @@ finalizeAttemptFeedback(AttemptFeedback& feedback, int ii,
     feedback.clear();
     feedback.ii = ii;
     feedback.status = status;
-    // Successful attempts carry no bottleneck; cancelled attempts are
-    // abandoned speculation with nothing to explain.
-    if (status == AttemptStatus::kScheduled ||
-        status == AttemptStatus::kCancelled) {
+    // Successful attempts carry no bottleneck.
+    if (status == AttemptStatus::kScheduled)
         return;
-    }
     for (graph::VertexId v = 0; v < graph.numVertices(); ++v) {
         bool placeable = false;
         for (const auto& alt : schedule.compiledAlternativesOf(v))

@@ -179,7 +179,7 @@ ScheduleResult extractScheduleResult(const PartialSchedule& schedule,
  * the displacement storm sorted by count descending then id ascending,
  * and the contended resource classes sorted by forced-eviction count —
  * all pure functions of the attempt, so the report is deterministic.
- * Successful and cancelled attempts leave the report cleared.
+ * A successful attempt leaves the report cleared.
  */
 void finalizeAttemptFeedback(
     AttemptFeedback& feedback, int ii, AttemptStatus status,

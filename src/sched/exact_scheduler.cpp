@@ -62,11 +62,10 @@ class Search
            PartialSchedule& schedule,
            const std::vector<graph::VertexId>& order,
            const std::vector<std::vector<int>>& alternatives,
-           const std::vector<KEdge>& k_edges, int ii, std::int64_t budget,
-           const support::CancellationToken* cancel)
+           const std::vector<KEdge>& k_edges, int ii, std::int64_t budget)
         : graph_(graph), dist_(dist), schedule_(schedule), order_(order),
           alternatives_(alternatives), kEdges_(k_edges), ii_(ii),
-          budget_(budget), cancel_(cancel),
+          budget_(budget),
           residue_(static_cast<std::size_t>(graph.numVertices()), 0),
           k_(static_cast<std::size_t>(graph.numVertices()), 0)
     {
@@ -80,7 +79,6 @@ class Search
     bool run() { return assign(0); }
 
     bool budgetExhausted() const { return budgetExhausted_; }
-    bool cancelled() const { return cancelled_; }
     std::int64_t nodes() const { return nodes_; }
     std::int64_t backtracks() const { return backtracks_; }
 
@@ -129,10 +127,6 @@ class Search
             for (const int alternative : alternatives_[v]) {
                 if (!charge())
                     return false;
-                if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                    cancelled_ = true;
-                    return false;
-                }
                 if (schedule_.mrt().conflicts(compiled[alternative], r))
                     continue;
                 schedule_.place(v, r, alternative);
@@ -142,7 +136,7 @@ class Search
                     return true;
                 schedule_.remove(v);
                 placedList_.pop_back();
-                if (budgetExhausted_ || cancelled_)
+                if (budgetExhausted_)
                     return false;
                 ++backtracks_;
             }
@@ -233,7 +227,6 @@ class Search
     const std::vector<KEdge>& kEdges_;
     int ii_;
     std::int64_t budget_;
-    const support::CancellationToken* cancel_;
 
     std::vector<int> residue_;
     std::vector<std::int64_t> k_;
@@ -241,7 +234,6 @@ class Search
     std::int64_t nodes_ = 0;
     std::int64_t backtracks_ = 0;
     bool budgetExhausted_ = false;
-    bool cancelled_ = false;
 };
 
 } // namespace
@@ -258,7 +250,6 @@ ExactScheduler::ExactScheduler(const ir::Loop& loop,
 
 std::optional<ScheduleResult>
 ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
-                            const support::CancellationToken* cancel,
                             AttemptStatus* status)
 {
     support::check(ii >= 1, "candidate II must be >= 1");
@@ -284,7 +275,7 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
     }
 
     // Branch order: HeightR descending (critical operations first), ties
-    // by vertex id — the same deterministic order at every thread count.
+    // by vertex id — a deterministic order.
     computePrioritiesInto(graph_, sccs_, ii, PriorityScheme::kHeightR,
                           /*seed=*/1, counters_, priorityWorkspace_);
     const auto& priorities = priorityWorkspace_.priorities;
@@ -346,7 +337,7 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
     }
 
     Search search(graph_, *dist_, schedule, order, alternatives, k_edges,
-                  ii, node_budget, cancel);
+                  ii, node_budget);
     const bool found = search.run();
 
     if (counters_ != nullptr) {
@@ -358,9 +349,7 @@ ExactScheduler::trySchedule(int ii, std::int64_t node_budget,
     }
 
     if (!found) {
-        if (search.cancelled())
-            report(AttemptStatus::kCancelled);
-        else if (search.budgetExhausted())
+        if (search.budgetExhausted())
             report(AttemptStatus::kBudgetExhausted);
         else
             report(AttemptStatus::kInfeasible); // space exhausted: a proof
@@ -408,50 +397,29 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
                                                counters, options.telemetry);
     const std::int64_t budget = options.exactNodeBudget;
 
-    // Per-worker scheduler instances, exactly as for the iterative
-    // backend: trySchedule reuses the MinDist matrix and compiled-table
-    // cache across candidate IIs, so concurrent attempts must not share
-    // an ExactScheduler.
-    const int workers =
-        plannedWorkers(options.search, options.search.maxIiIncrease + 1);
-
-    struct WorkerState
-    {
-        support::Counters counters;
-        std::optional<ExactScheduler> scheduler;
+    // One scheduler serves every candidate II, so trySchedule reuses the
+    // MinDist matrix and compiled-table cache.
+    support::Counters attempt_counters;
+    ExactScheduler scheduler(loop, machine, graph, sccs, &attempt_counters);
+    const IiAttemptFn attempt = [&](int ii) {
+        attempt_counters = {};
+        IiAttemptOutcome out;
+        out.schedule = scheduler.trySchedule(ii, budget, &out.status);
+        out.counters = attempt_counters;
+        if (out.status == AttemptStatus::kBudgetExhausted) {
+            // An undecided candidate breaks the optimality chain: the
+            // first feasible II is provably optimal only while every II
+            // below it is *proven* infeasible.
+            throw support::CodedError(
+                "exact.budget_exhausted",
+                "exact scheduler exhausted its node budget (" +
+                    std::to_string(budget) + ") at II " +
+                    std::to_string(ii) + " for loop '" + loop.name() +
+                    "' — optimality cannot be proven; raise "
+                    "exactNodeBudget or use the iterative backend");
+        }
+        return out;
     };
-    std::vector<WorkerState> states(static_cast<std::size_t>(workers));
-
-    const IiAttemptFn attempt =
-        [&](int ii, int worker, const support::CancellationToken& cancel) {
-            WorkerState& state = states[static_cast<std::size_t>(worker)];
-            state.counters = {};
-            if (!state.scheduler.has_value()) {
-                state.scheduler.emplace(loop, machine, graph, sccs,
-                                        &state.counters);
-            }
-            IiAttemptOutcome out;
-            AttemptStatus status = AttemptStatus::kBudgetExhausted;
-            out.schedule =
-                state.scheduler->trySchedule(ii, budget, &cancel, &status);
-            out.status = status;
-            out.counters = state.counters;
-            if (status == AttemptStatus::kBudgetExhausted) {
-                // An undecided candidate breaks the optimality chain: the
-                // first feasible II is provably optimal only while every
-                // II below it is *proven* infeasible. The race engine
-                // parks this and rethrows it iff the linear search would
-                // have reached this II, keeping the failure deterministic.
-                throw support::CodedError(
-                    "exact.budget_exhausted",
-                    "exact scheduler exhausted its node budget (" +
-                        std::to_string(budget) + ") at II " +
-                        std::to_string(ii) + " for loop '" + loop.name() +
-                        "' — optimality cannot be proven; raise "
-                        "exactNodeBudget or use the iterative backend");
-            }
-            return out;
-        };
 
     ModuloScheduleOutcome outcome = runIiSearch(
         options.search, mii.resMii, mii.mii, budget, attempt, counters,

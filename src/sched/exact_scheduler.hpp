@@ -12,7 +12,6 @@
 #include "mii/min_dist.hpp"
 #include "sched/iterative_scheduler.hpp"
 #include "sched/priority.hpp"
-#include "support/cancellation.hpp"
 #include "support/counters.hpp"
 
 namespace ims::sched {
@@ -63,14 +62,12 @@ inline constexpr std::int64_t kDefaultExactNodeBudget = 4'000'000;
  * scanned, each (residue, alternative) pair probed against the MRT, and
  * each Bellman-Ford pass of a leaf solve — so it bounds wall time on any
  * machine shape, not just the candidate count. The count is a pure
- * function of the inputs, so exhaustion is bit-identical across thread
- * counts and runs. A budget-exhausted attempt reports
+ * function of the inputs, so exhaustion is bit-identical across runs. A budget-exhausted attempt reports
  * AttemptStatus::kBudgetExhausted — *not* infeasibility.
  *
  * Like IterativeScheduler, an instance reuses buffers (MinDist matrix,
  * compiled-table cache) across candidate IIs and is not safe for
- * concurrent trySchedule calls; the racing II search gives each worker
- * its own instance.
+ * concurrent trySchedule calls.
  */
 class ExactScheduler
 {
@@ -84,12 +81,11 @@ class ExactScheduler
      *
      * Returns the schedule when one exists and the search completed; a
      * nullopt return distinguishes its cause via `status`:
-     * kInfeasible (proven — the full space was searched), kBudgetExhausted
-     * (undecided), or kCancelled (the token's ceiling dropped below `ii`).
+     * kInfeasible (proven — the full space was searched) or
+     * kBudgetExhausted (undecided).
      */
     std::optional<ScheduleResult>
     trySchedule(int ii, std::int64_t node_budget,
-                const support::CancellationToken* cancel = nullptr,
                 AttemptStatus* status = nullptr);
 
   private:

@@ -37,13 +37,11 @@ class Attempt
             const graph::DepGraph& graph,
             const std::vector<std::int64_t>& priority,
             const IterativeScheduleOptions& options, int ii,
-            machine::CompiledTableCache* cache,
-            const support::CancellationToken* cancel)
+            machine::CompiledTableCache* cache)
         : graph_(graph),
           priority_(priority),
           options_(options),
           ii_(ii),
-          cancel_(cancel),
           schedule_(graph, loop, machine, ii, cache),
           estart_(graph, schedule_, stats_),
           ready_(priority)
@@ -73,14 +71,6 @@ class Attempt
         ++stats_.scheduleSteps;
 
         while (!ready_.empty() && budget > 0) {
-            // Cooperative cancellation: when a racing search has already
-            // accepted a lower II, this attempt's remaining work cannot
-            // affect the (deterministic) result — stop within one
-            // budget-loop check. One relaxed load per scheduling step.
-            if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                status_ = AttemptStatus::kCancelled;
-                return false;
-            }
             const graph::VertexId op = ready_.top();
             const int estart = estart_.estart(op);
             const int min_time = estart;
@@ -126,9 +116,7 @@ class Attempt
      * set): the unplaceable operations, the displacement storm sorted by
      * count descending (then id, so the report is a pure function of the
      * attempt), and the resource classes whose occupancy forced
-     * evictions. Successful and cancelled attempts leave the sink
-     * cleared — a cancelled attempt is abandoned speculation and must
-     * not steer the search.
+     * evictions. A successful attempt leaves the sink cleared.
      */
     void
     flushFeedback()
@@ -285,7 +273,6 @@ class Attempt
     const std::vector<std::int64_t>& priority_;
     const IterativeScheduleOptions& options_;
     int ii_;
-    const support::CancellationToken* cancel_;
     AttemptStatus status_ = AttemptStatus::kBudgetExhausted;
     AttemptCounters stats_;
     PartialSchedule schedule_;
@@ -321,7 +308,6 @@ IterativeScheduler::IterativeScheduler(const ir::Loop& loop,
 
 std::optional<ScheduleResult>
 IterativeScheduler::trySchedule(int ii, std::int64_t budget,
-                                const support::CancellationToken* cancel,
                                 AttemptStatus* status)
 {
     computePrioritiesInto(graph_, sccs_, ii, options_.priority,
@@ -329,7 +315,7 @@ IterativeScheduler::trySchedule(int ii, std::int64_t budget,
                           priorityWorkspace_);
 
     Attempt attempt(loop_, machine_, graph_, priorityWorkspace_.priorities,
-                    options_, ii, &compiledCache_, cancel);
+                    options_, ii, &compiledCache_);
     const bool success = attempt.run(budget);
     if (status != nullptr)
         *status = attempt.status();
@@ -371,42 +357,18 @@ runIterativeSchedule(const ir::Loop& loop,
         1, static_cast<std::int64_t>(std::llround(
                options.search.budgetRatio * (loop.size() + 2))));
 
-    // Per-worker scheduler state: trySchedule reuses priority and
-    // compiled-reservation buffers across candidate IIs, so concurrent
-    // attempts must not share an IterativeScheduler. The search
-    // guarantees at most one in-flight attempt per worker index;
-    // schedulers are built lazily so a race that ends early never pays
-    // for idle workers' state.
-    const int workers =
-        plannedWorkers(options.search, options.search.maxIiIncrease + 1);
-
-    IterativeScheduleOptions inner = options.inner();
-    inner.telemetry = nullptr; // kIiAttempt samples are replayed by the
-                               // driver for the deterministic prefix only
-
-    struct WorkerState
-    {
-        support::Counters counters;
-        std::optional<IterativeScheduler> scheduler;
+    // One scheduler serves every candidate II, so trySchedule reuses its
+    // priority and compiled-reservation buffers.
+    support::Counters attempt_counters;
+    IterativeScheduler scheduler(loop, machine, graph, sccs, options.inner(),
+                                 &attempt_counters);
+    const IiAttemptFn attempt = [&](int ii) {
+        attempt_counters = {};
+        IiAttemptOutcome out;
+        out.schedule = scheduler.trySchedule(ii, budget, &out.status);
+        out.counters = attempt_counters;
+        return out;
     };
-    std::vector<WorkerState> states(static_cast<std::size_t>(workers));
-
-    const IiAttemptFn attempt =
-        [&](int ii, int worker, const support::CancellationToken& cancel) {
-            WorkerState& state = states[static_cast<std::size_t>(worker)];
-            state.counters = {};
-            if (!state.scheduler.has_value()) {
-                state.scheduler.emplace(loop, machine, graph, sccs, inner,
-                                        &state.counters);
-            }
-            IiAttemptOutcome out;
-            AttemptStatus status = AttemptStatus::kBudgetExhausted;
-            out.schedule =
-                state.scheduler->trySchedule(ii, budget, &cancel, &status);
-            out.status = status;
-            out.counters = state.counters;
-            return out;
-        };
 
     ModuloScheduleOutcome outcome = runIiSearch(
         options.search, mii.resMii, mii.mii, budget, attempt, counters,

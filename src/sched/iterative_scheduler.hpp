@@ -12,9 +12,7 @@
 #include "machine/machine_model.hpp"
 #include "sched/attempt_feedback.hpp"
 #include "sched/priority.hpp"
-#include "support/cancellation.hpp"
 #include "support/counters.hpp"
-#include "support/telemetry.hpp"
 
 namespace ims::sched {
 
@@ -43,15 +41,6 @@ struct IterativeScheduleOptions
      * the hot path exactly as before.
      */
     AttemptFeedback* feedback = nullptr;
-    /**
-     * Sink receiving the phases surrounding scheduling (MII bounds, and
-     * the Phase::kIiAttempt samples the II-search driver replays for the
-     * deterministic prefix of candidate IIs — see sched/ii_search.hpp).
-     * trySchedule itself emits nothing: under a racing search the sink
-     * would otherwise observe speculative attempts in a nondeterministic
-     * order.
-     */
-    support::TelemetrySink* telemetry = nullptr;
 };
 
 /** A complete modulo schedule for one II. */
@@ -81,8 +70,7 @@ struct ScheduleResult
  *
  * A scheduler instance reuses its priority/reservation-table buffers
  * across candidate IIs and is therefore NOT safe for concurrent
- * trySchedule calls; the racing II search gives every worker its own
- * instance (see sched/ii_search.hpp).
+ * trySchedule calls.
  */
 class IterativeScheduler
 {
@@ -96,15 +84,10 @@ class IterativeScheduler
 
     /**
      * Attempt to find a schedule at `ii` within `budget` steps.
-     *
-     * When `cancel` is non-null it is polled once per budget-loop
-     * iteration with key `ii`; a cancelled attempt abandons work within
-     * one scheduling step and returns nullopt. `status`, when non-null,
-     * reports why the attempt ended.
+     * `status`, when non-null, reports why the attempt ended.
      */
     std::optional<ScheduleResult>
     trySchedule(int ii, std::int64_t budget,
-                const support::CancellationToken* cancel = nullptr,
                 AttemptStatus* status = nullptr);
 
   private:

@@ -42,10 +42,8 @@ schedule(const ir::Loop& loop, const machine::MachineModel& machine,
                        options.search.budgetRatio > 0,
                    "BudgetRatio must be positive and finite");
     support::check(options.trace == nullptr ||
-                       (options.search.kind == IiSearchKind::kLinear &&
-                        options.strategy == SchedulerStrategy::kIterative),
-                   "trace capture requires the iterative backend under the "
-                   "linear II search");
+                       options.strategy == SchedulerStrategy::kIterative,
+                   "trace capture requires the iterative backend");
     switch (options.strategy) {
       case SchedulerStrategy::kIterative:
         return detail::runIterativeSchedule(loop, machine, graph, sccs,

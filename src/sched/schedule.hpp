@@ -21,8 +21,7 @@ namespace ims::sched {
 /**
  * Which scheduling backend decides feasibility at each candidate II.
  * All three run under the same Figure-2 outer loop (runIiSearch): the
- * same II-search strategies (linear/racing), cancellation tokens,
- * deterministic-prefix accounting and ii_* telemetry.
+ * same budget accounting and ii_* telemetry.
  */
 enum class SchedulerStrategy
 {
@@ -59,9 +58,8 @@ struct ModuloScheduleOutcome
     int resMii = 1;
     /** MII = max(ResMII, RecMII) as computed by the production protocol. */
     int mii = 1;
-    /** Number of candidate IIs attempted (>= 1). Deterministic: under a
-     *  racing search this counts the prefix [MII, winner], exactly the
-     *  attempts the linear search performs. */
+    /** Number of candidate IIs attempted (>= 1): MII through the
+     *  winning II. */
     int attempts = 0;
     /** Per-attempt step budget (BudgetRatio * NumberOfOperations). */
     std::int64_t budget = 0;
@@ -69,7 +67,7 @@ struct ModuloScheduleOutcome
     std::int64_t totalSteps = 0;
     /** Unschedule steps summed over all attempts. */
     std::int64_t totalUnschedules = 0;
-    /** II-search strategy identity and race observability. */
+    /** Per-attempt records of the II search. */
     IiSearchStats search;
 };
 
@@ -86,8 +84,8 @@ schedulerStrategyByName(std::string_view name);
 struct ScheduleOptions
 {
     SchedulerStrategy strategy = SchedulerStrategy::kIterative;
-    /** The outer II loop's policy and budget knobs (shared verbatim by
-     *  every backend, so the Figure-2 knobs exist exactly once). */
+    /** The outer II loop's budget knobs (shared verbatim by every
+     *  backend, so the Figure-2 knobs exist exactly once). */
     IiSearchOptions search;
     /** Priority scheme for the iterative backend (§3.2). */
     PriorityScheme priority = PriorityScheme::kHeightR;
@@ -98,7 +96,7 @@ struct ScheduleOptions
     /** Per-candidate-II node budget for the exact backend. */
     std::int64_t exactNodeBudget = kDefaultExactNodeBudget;
     /** When non-null, every iterative scheduling step is appended here
-     *  (linear search + iterative backend only). */
+     *  (iterative backend only). */
     std::vector<TraceEvent>* trace = nullptr;
     /** Sink receiving the MII-bound and replayed ii_attempt phases. */
     support::TelemetrySink* telemetry = nullptr;
@@ -168,7 +166,6 @@ struct ScheduleOptions
         options.forwardProgressRule = forwardProgressRule;
         options.randomSeed = randomSeed;
         options.trace = trace;
-        options.telemetry = telemetry;
         return options;
     }
 };
@@ -200,16 +197,14 @@ runExactSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
 
 /**
  * The single scheduling entry point: compute the MII, then run the
- * backend selected by options.strategy over candidate IIs under the
- * configured II-search strategy (the paper's Figure 2). (The pre-PR-6
- * per-backend free functions were deprecated for one release and have
- * been removed; see docs/api.md for the migration table.)
+ * backend selected by options.strategy over the candidate IIs MII,
+ * MII+1, ... (the paper's Figure 2). (The pre-PR-6 per-backend free
+ * functions were deprecated for one release and have been removed; see
+ * docs/api.md for the migration table.)
  *
  * @throws support::CodedError "sched.ii_exhausted" when every candidate
  *         II fails, and "exact.budget_exhausted" when the exact backend
- *         runs out of nodes at a candidate the linear search would have
- *         reached (so results stay bit-identical across strategies and
- *         thread counts).
+ *         runs out of nodes at a candidate II.
  */
 ModuloScheduleOutcome schedule(const ir::Loop& loop,
                                const machine::MachineModel& machine,

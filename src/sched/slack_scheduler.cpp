@@ -32,11 +32,9 @@ class SlackAttempt
     SlackAttempt(const ir::Loop& loop,
                  const machine::MachineModel& machine,
                  const graph::DepGraph& graph, int ii,
-                 support::Counters* counters,
-                 const support::CancellationToken* cancel)
+                 support::Counters* counters)
         : graph_(graph),
           ii_(ii),
-          cancel_(cancel),
           dist_(graph, ii, counters),
           schedule_(graph, loop, machine, ii)
     {
@@ -63,13 +61,6 @@ class SlackAttempt
         --budget;
 
         while (numUnplaced() > 0 && budget > 0) {
-            // Same cooperative check as the iterative scheduler's budget
-            // loop: once a racing search accepts a lower II this
-            // attempt's result is dead, stop within one step.
-            if (cancel_ != nullptr && cancel_->cancelled(ii_)) {
-                cancelled_ = true;
-                return false;
-            }
             const graph::VertexId op = pickMinSlack();
             const auto [etime, ltime] = window(op);
             const bool early = placeEarly(op);
@@ -139,8 +130,6 @@ class SlackAttempt
     }
 
     const PartialSchedule& schedule() const { return schedule_; }
-
-    bool cancelled() const { return cancelled_; }
 
     /** True when this II is proven impossible (modulo self-collision). */
     bool provenInfeasible() const { return infeasible_; }
@@ -245,8 +234,6 @@ class SlackAttempt
 
     const graph::DepGraph& graph_;
     int ii_;
-    const support::CancellationToken* cancel_;
-    bool cancelled_ = false;
     bool infeasible_ = false;
     mii::MinDistMatrix dist_;
     PartialSchedule schedule_;
@@ -270,34 +257,26 @@ runSlackSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
                options.search.budgetRatio * (loop.size() + 2))));
 
     // Every slack attempt builds its state (MinDist matrix, partial
-    // schedule) from scratch, so unlike the iterative scheduler no
-    // per-worker reuse is needed: the attempt callback is already safe
-    // for any worker index.
-    const IiAttemptFn attempt =
-        [&](int ii, int /*worker*/,
-            const support::CancellationToken& cancel) {
-            IiAttemptOutcome out;
-            SlackAttempt attempt(loop, machine, graph, ii, &out.counters,
-                                 &cancel);
-            std::int64_t steps = 0;
-            std::int64_t unschedules = 0;
-            const bool scheduled = attempt.run(budget, steps, unschedules);
-            if (scheduled)
-                out.status = AttemptStatus::kScheduled;
-            else if (attempt.cancelled())
-                out.status = AttemptStatus::kCancelled;
-            else if (attempt.provenInfeasible())
-                out.status = AttemptStatus::kInfeasible;
-            else
-                out.status = AttemptStatus::kBudgetExhausted;
-            attempt.stats().flushInto(out.counters,
-                                      attempt.schedule().mrt());
-            if (scheduled) {
-                out.schedule = extractScheduleResult(
-                    attempt.schedule(), graph, ii, steps, unschedules);
-            }
-            return out;
-        };
+    // schedule) from scratch.
+    const IiAttemptFn attempt = [&](int ii) {
+        IiAttemptOutcome out;
+        SlackAttempt attempt(loop, machine, graph, ii, &out.counters);
+        std::int64_t steps = 0;
+        std::int64_t unschedules = 0;
+        const bool scheduled = attempt.run(budget, steps, unschedules);
+        if (scheduled)
+            out.status = AttemptStatus::kScheduled;
+        else if (attempt.provenInfeasible())
+            out.status = AttemptStatus::kInfeasible;
+        else
+            out.status = AttemptStatus::kBudgetExhausted;
+        attempt.stats().flushInto(out.counters, attempt.schedule().mrt());
+        if (scheduled) {
+            out.schedule = extractScheduleResult(attempt.schedule(), graph,
+                                                 ii, steps, unschedules);
+        }
+        return out;
+    };
 
     ModuloScheduleOutcome outcome = runIiSearch(
         options.search, mii.resMii, mii.mii, budget, attempt, counters,

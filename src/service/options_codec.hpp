@@ -12,11 +12,9 @@ namespace ims::service {
  * pipeline options — the third component of the content-addressed cache
  * key (see docs/SERVICE.md, "Cache key").
  *
- * Normalization drops every knob that is guaranteed not to change the
- * produced PipelineResult:
- *  - the II-search strategy kind and worker count (the racing search is
- *    bit-identical to linear at any thread count, see docs/ALGORITHM.md),
- *  - telemetry sinks and trace buffers (observability-only pointers).
+ * Normalization drops the knobs that are guaranteed not to change the
+ * produced PipelineResult: telemetry sinks and trace buffers
+ * (observability-only pointers).
  *
  * Everything else — backend strategy, BudgetRatio, maxIiIncrease,
  * priority scheme, forward-progress rule, random seed, exact node
@@ -29,7 +27,7 @@ std::string canonicalOptionsText(const core::PipelinerOptions& options);
 
 /**
  * Inverse of canonicalOptionsText, for cache persistence: rebuild a
- * PipelinerOptions (sinks null, II search linear) from the canonical
+ * PipelinerOptions (sinks null) from the canonical
  * text. Every value must parse in full (support::parseNumber; flags are
  * "0" or "1"). @throws support::Error on unknown keys or malformed values.
  */

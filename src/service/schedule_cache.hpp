@@ -154,8 +154,7 @@ class ScheduleCache
  * Deterministic digest of everything in a PipelineResult that is a pure
  * function of (loop, machine, options): artifact identity via the full
  * schedule (II, times, alternatives), the rendered report, diagnostics,
- * and the deterministic telemetry fields. Wall-clock phase timings and
- * race observability (ii_workers, attempts started/cancelled/wasted) are
+ * and the deterministic telemetry fields. Wall-clock timings are
  * excluded. This is the bit-identity oracle the cache tests and
  * bench_service gate on: a cache hit must fingerprint identically to a
  * cold run at any thread count.

@@ -120,11 +120,16 @@ TEST(ParserTest, RejectionsCarryExactMessages)
          "line 3: bad memory offset/stride"},
         {"loop t\nlivein a\nx = load a @ m 0 99999999999\n",
          "line 3: bad memory offset/stride"},
+        // Integers must parse in full, not as a prefix.
+        {"loop t\nlivein a\nx = load a @ m 0y\n",
+         "line 3: bad memory offset/stride"},
         {"loop t\nlivein a\nx = add a[1, a\n",
          "line 3: malformed register reference 'a[1'"},
         {"loop t\nlivein a\nx = add a[z], a\n",
          "line 3: bad distance in 'a[z]'"},
         {"loop t\nlivein a\nx = add a[], a\n", "line 3: bad distance in 'a[]'"},
+        {"loop t\nlivein a\nx = add a[3x], a\n",
+         "line 3: bad distance in 'a[3x]'"},
         {"loop t\nlivein a\nx = add #1e, a\n", "line 3: bad immediate '#1e'"},
         {"loop t\nlivein a\nx = add #, a\n", "line 3: bad immediate '#'"},
         {"loop t\nx = add q, #1\n",
@@ -185,12 +190,12 @@ TEST(ParserTest, WhitespaceAndCommentsNormalize)
                        "loop\tt  ; name\n"
                        "livein \t a\r\n"
                        "recurrence r\n"
-                       "r = add r[ 2],\t#  1.5 ; comment\n"
-                       "x\t=  load a ,  @ m 3junk 2\n"
+                       "r = add r[2],\t#  1.5 ; comment\n"
+                       "x\t=  load a ,  @ m 3 2\n"
                        "predicate p\n"
                        "_ = store a,x @ m -1 if\tp\n";
-    // Strides, offsets and distances keep std::stoi's prefix parsing;
-    // immediates keep strtod's leading-space skip.
+    // Immediates keep strtod's leading-space skip. (Strides, offsets and
+    // distances must parse in full; see RejectionsCarryExactMessages.)
     EXPECT_EQ(ir::printLoop(ir::parseLoop(text)),
               "loop t\n"
               "livein a\n"

@@ -151,41 +151,13 @@ TEST(PipelinerTest, BuilderStyleOptionSettersCompose)
     EXPECT_TRUE(result.ok());
 }
 
-TEST(PipelinerTest, WithIiSearchSelectsStrategyAndKeepsBudgetKnobs)
-{
-    const auto options = core::PipelinerOptions{}
-                             .withBudgetRatio(6.0)
-                             .withMaxIiIncrease(128)
-                             .withIiSearch(sched::IiSearchKind::kRacing, 4);
-    EXPECT_EQ(options.schedule.search.kind, sched::IiSearchKind::kRacing);
-    EXPECT_EQ(options.schedule.search.threads, 4);
-    // The kind/threads overload must not clobber the budget knobs.
-    EXPECT_EQ(options.schedule.search.budgetRatio, 6.0);
-    EXPECT_EQ(options.schedule.search.maxIiIncrease, 128);
-
-    const auto wholesale = core::PipelinerOptions{}.withIiSearch(
-        sched::IiSearchOptions{}.withKind(sched::IiSearchKind::kRacing)
-            .withBudgetRatio(3.0));
-    EXPECT_EQ(wholesale.schedule.search.kind, sched::IiSearchKind::kRacing);
-    EXPECT_EQ(wholesale.schedule.search.budgetRatio, 3.0);
-
-    const auto w = workloads::kernelByName("daxpy");
-    core::SoftwarePipeliner pipeliner(machine::cydra5(), options);
-    const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
-    ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result.telemetry.iiStrategy, "racing");
-    EXPECT_GE(result.telemetry.iiAttemptsStarted, 1);
-}
-
 TEST(PipelinerTest, IiExhaustionSurfacesStructuredDiagnosticCode)
 {
     const auto w = workloads::kernelByName("daxpy");
     // A zero II-increase window above an unreachable MII cannot succeed.
     core::SoftwarePipeliner pipeliner(
         machine::cydra5(),
-        core::PipelinerOptions{}.withIiSearch(
-            sched::IiSearchOptions{}.withMaxIiIncrease(0).withBudgetRatio(
-                0.001)));
+        core::PipelinerOptions{}.withMaxIiIncrease(0).withBudgetRatio(0.001));
     const auto result = pipeliner.pipeline(core::PipelineRequest(w.loop));
     ASSERT_FALSE(result.ok());
     ASSERT_FALSE(result.diagnostics.empty());

@@ -460,7 +460,7 @@ TEST(AttemptFeedbackTest, IterativeSchedulerPopulatesTheSink)
 
     // II 9 divides 90: infeasible, and the report names the culprit.
     sched::AttemptStatus status = sched::AttemptStatus::kScheduled;
-    EXPECT_FALSE(scheduler.trySchedule(9, budget, nullptr, &status)
+    EXPECT_FALSE(scheduler.trySchedule(9, budget, &status)
                      .has_value());
     EXPECT_EQ(status, sched::AttemptStatus::kInfeasible);
     EXPECT_EQ(sink.ii, 9);
@@ -472,7 +472,7 @@ TEST(AttemptFeedbackTest, IterativeSchedulerPopulatesTheSink)
     // then id ascending, plus the resource classes that forced the
     // evictions.
     status = sched::AttemptStatus::kScheduled;
-    EXPECT_FALSE(scheduler.trySchedule(8, budget, nullptr, &status)
+    EXPECT_FALSE(scheduler.trySchedule(8, budget, &status)
                      .has_value());
     EXPECT_EQ(status, sched::AttemptStatus::kBudgetExhausted);
     EXPECT_EQ(sink.ii, 8);
@@ -496,7 +496,7 @@ TEST(AttemptFeedbackTest, IterativeSchedulerPopulatesTheSink)
 
     // A successful attempt clears the report.
     status = sched::AttemptStatus::kBudgetExhausted;
-    EXPECT_TRUE(scheduler.trySchedule(11, 1 << 20, nullptr, &status)
+    EXPECT_TRUE(scheduler.trySchedule(11, 1 << 20, &status)
                     .has_value());
     EXPECT_EQ(status, sched::AttemptStatus::kScheduled);
     EXPECT_TRUE(sink.unplaceable.empty());

@@ -27,6 +27,7 @@
 #include "support/hash.hpp"
 #include "support/parallel.hpp"
 #include "support/rng.hpp"
+#include "support/telemetry.hpp"
 #include "workloads/kernels.hpp"
 #include "workloads/random_loops.hpp"
 
@@ -405,12 +406,10 @@ TEST(OptionsCodecTest, CanonicalTextRoundTripsAndNormalizes)
                   core::PipelinerOptions{}.withRandomSeed(99)),
               canonical);
 
-    // ...while the II-search strategy and thread count are normalized
-    // away (racing is bit-identical to linear at any thread count) and
-    // telemetry sinks never reach the key.
+    // ...while telemetry sinks never reach the key.
+    support::TelemetryRecorder recorder;
     EXPECT_EQ(service::canonicalOptionsText(
-                  core::PipelinerOptions{}.withIiSearch(
-                      sched::IiSearchKind::kRacing, 8)),
+                  core::PipelinerOptions{}.withTelemetry(&recorder)),
               canonical);
 
     EXPECT_THROW(service::parseOptionsText("nonsense 1\n"),

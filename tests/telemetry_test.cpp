@@ -186,6 +186,57 @@ TEST(TelemetryTest, ParserRejectsMalformedInput)
     EXPECT_EQ(t.ii, 3);
 }
 
+TEST(TelemetryTest, RecordsWithRemovedIiSearchFieldsStillParse)
+{
+    // A v1 record as written while the II search could race: it still
+    // carries the strategy, worker and speculation fields, which are
+    // now skipped like any unknown key.
+    const std::string old_record =
+        "{\"schema\":\"ims.telemetry.v1\",\"loop\":\"daxpy\",\"ops\":8,"
+        "\"succeeded\":true,\"res_mii\":2,\"mii\":3,\"ii\":4,"
+        "\"attempts\":2,\"schedule_length\":33,\"budget\":20,"
+        "\"steps_total\":30,\"backtracks\":5,\"scheduler\":\"exact\","
+        "\"ii_strategy\":\"racing\",\"ii_workers\":4,"
+        "\"ii_attempts_started\":6,\"ii_attempts_cancelled\":3,"
+        "\"ii_attempts_wasted\":4,\"ii_attempts_proven_infeasible\":1,"
+        "\"ii_search_wall_seconds\":0.25,\"ii_search_cpu_seconds\":0.75,"
+        "\"wall_seconds\":0.5,\"phases\":[{\"name\":\"ii_attempt\","
+        "\"detail\":3,\"seconds\":0.125,\"ok\":false}],"
+        "\"counters\":{\"schedule_steps\":30,\"unschedule_steps\":5}}";
+    const auto t = support::parseTelemetryJson(old_record);
+    EXPECT_EQ(t.loop, "daxpy");
+    EXPECT_EQ(t.ops, 8);
+    EXPECT_TRUE(t.succeeded);
+    EXPECT_EQ(t.resMii, 2);
+    EXPECT_EQ(t.mii, 3);
+    EXPECT_EQ(t.ii, 4);
+    EXPECT_EQ(t.attempts, 2);
+    EXPECT_EQ(t.scheduleLength, 33);
+    EXPECT_EQ(t.budget, 20);
+    EXPECT_EQ(t.stepsTotal, 30);
+    EXPECT_EQ(t.backtracks, 5);
+    EXPECT_EQ(t.scheduler, "exact");
+    EXPECT_EQ(t.iiAttemptsProvenInfeasible, 1);
+    EXPECT_EQ(t.iiSearchWallSeconds, 0.25);
+    EXPECT_EQ(t.wallSeconds, 0.5);
+    ASSERT_EQ(t.phases.size(), 1u);
+    EXPECT_EQ(t.phases[0].phase, support::Phase::kIiAttempt);
+    EXPECT_EQ(t.phases[0].detail, 3);
+    EXPECT_EQ(t.phases[0].seconds, 0.125);
+    EXPECT_FALSE(t.phases[0].succeeded);
+    EXPECT_EQ(t.counters.scheduleSteps, 30u);
+    EXPECT_EQ(t.counters.unscheduleSteps, 5u);
+
+    // Written back out, the record no longer carries the removed fields.
+    const std::string json = t.toJson();
+    for (const char* removed :
+         {"ii_strategy", "ii_workers", "ii_attempts_started",
+          "ii_attempts_cancelled", "ii_attempts_wasted",
+          "ii_search_cpu_seconds"}) {
+        EXPECT_EQ(json.find(removed), std::string::npos) << removed;
+    }
+}
+
 TEST(TelemetryTest, ExternalSinkSeesTheSameStream)
 {
     support::TelemetryRecorder external;

@@ -36,12 +36,6 @@
  *                          (EC/LC control, compression, marshaling) to
  *                          match the sequential reference at every trip
  *   --exact-budget <n>     exact-backend node budget per candidate II
- *   --ii-search <linear|racing>  II search strategy the pipeline
- *                          under test uses; racing must be bit-identical
- *                          to linear, so the campaign's thread-invariance
- *                          and sim-equivalence oracles double as a
- *                          determinism check for the race
- *   --ii-threads <n>       racing worker count per case (0 = hardware)
  *   --inject-delay-fault   enable the deliberate dependence-delay bug
  *                          (memory flow delays forced to 0) to prove the
  *                          oracle + minimizer path end to end
@@ -82,8 +76,6 @@ struct CliOptions
     std::string scheduler = "iterative";
     std::vector<std::string> oracles;
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
-    std::string iiSearch = "linear";
-    int iiThreads = 0;
     bool injectDelayFault = false;
     std::string replayFile;
 };
@@ -101,8 +93,6 @@ usage(int code)
            "                [--scheduler iterative|slack|exact] "
            "[--oracle opt.ii_gap|program.equiv]\n"
            "                [--exact-budget N]\n"
-           "                [--ii-search linear|racing] "
-           "[--ii-threads N]\n"
            "       ims-fuzz --replay <file.repro>\n";
     std::exit(code);
 }
@@ -192,10 +182,6 @@ parseArgs(int argc, char** argv)
         else if (arg == "--exact-budget")
             options.exactBudget =
                 numberOrUsage<std::int64_t>(next("a node budget"));
-        else if (arg == "--ii-search")
-            options.iiSearch = next("a strategy name");
-        else if (arg == "--ii-threads")
-            options.iiThreads = numberOrUsage<int>(next("a thread count"));
         else if (arg == "--inject-delay-fault")
             options.injectDelayFault = true;
         else if (arg == "--replay")
@@ -213,12 +199,6 @@ parseArgs(int argc, char** argv)
 core::PipelinerOptions
 pipelineOptions(const CliOptions& options)
 {
-    const auto kind = sched::iiSearchKindByName(options.iiSearch);
-    if (!kind) {
-        std::cerr << "unknown II search strategy '" << options.iiSearch
-                  << "'\n";
-        usage(2);
-    }
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -227,7 +207,6 @@ pipelineOptions(const CliOptions& options)
         usage(2);
     }
     return core::PipelinerOptions{}
-        .withIiSearch(*kind, options.iiThreads)
         .withScheduler(*strategy)
         .withExactNodeBudget(options.exactBudget);
 }

@@ -18,10 +18,6 @@
  *   --budget-ratio <r>       BudgetRatio (default 2.0; the paper's
  *                            quality studies use 6)
  *   --priority heightr|slack|source-order|random    (default heightr)
- *   --ii-search linear|racing   II search strategy (default linear;
- *                            racing is deterministic — bit-identical
- *                            winning schedules at any thread count)
- *   --ii-threads <n>         racing worker count (0 = hardware)
  *   --listing                print the full prologue/kernel/epilogue
  *   --kernel-only            print the [36] kernel-only schema instead
  *   --trace                  print the per-step scheduling trace
@@ -74,8 +70,6 @@ struct CliOptions
     std::int64_t exactBudget = sched::kDefaultExactNodeBudget;
     double budgetRatio = 2.0;
     std::string priority = "heightr";
-    std::string iiSearch = "linear";
-    int iiThreads = 0;
     bool listing = false;
     bool kernelOnly = false;
     bool trace = false;
@@ -100,7 +94,6 @@ usage(int code)
            "  --scheduler iterative|slack|exact  --exact-budget <n>\n"
            "  --budget-ratio <r>   --priority "
            "heightr|slack|source-order|random\n"
-           "  --ii-search linear|racing  --ii-threads <n>\n"
            "  --listing  --kernel-only  --trace  --telemetry  "
            "--simulate <trip>  --verify  --quiet  --no-compress\n";
     std::exit(code);
@@ -173,10 +166,6 @@ parseArgs(int argc, char** argv)
             options.budgetRatio = numberOrUsage<double>(next("a ratio"));
         else if (arg == "--priority")
             options.priority = next("a scheme");
-        else if (arg == "--ii-search")
-            options.iiSearch = next("a strategy name");
-        else if (arg == "--ii-threads")
-            options.iiThreads = numberOrUsage<int>(next("a thread count"));
         else if (arg == "--listing")
             options.listing = true;
         else if (arg == "--kernel-only")
@@ -234,13 +223,6 @@ processLoop(const ir::Loop& loop, const CliOptions& options,
 {
     core::PipelinerOptions pipeline_options;
     pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
-    const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
-    if (!search_kind) {
-        std::cerr << "unknown II search strategy '" << options.iiSearch
-                  << "'\n";
-        usage(2);
-    }
-    pipeline_options.withIiSearch(*search_kind, options.iiThreads);
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (!strategy) {
@@ -328,9 +310,6 @@ processProgram(const program::Program& prog, const CliOptions& options,
 {
     core::PipelinerOptions pipeline_options;
     pipeline_options.schedule.search.budgetRatio = options.budgetRatio;
-    const auto search_kind = sched::iiSearchKindByName(options.iiSearch);
-    if (search_kind)
-        pipeline_options.withIiSearch(*search_kind, options.iiThreads);
     const auto strategy =
         sched::schedulerStrategyByName(options.scheduler);
     if (strategy)

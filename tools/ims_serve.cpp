@@ -37,6 +37,7 @@
  * the `meta` line — so replaying a request stream must reproduce every
  * result line byte-for-byte (scripts/ci.sh gates on exactly that).
  */
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <deque>
@@ -140,13 +141,27 @@ numberOrUsage(const std::string& text)
     return *value;
 }
 
-/** Read exactly `bytes` bytes (the payload of a byte-counted request). */
+/**
+ * Read exactly `bytes` bytes (the payload of a byte-counted request). The
+ * buffer grows one chunk at a time with the bytes that actually arrive,
+ * so a huge byte count on a short stream costs only what was sent.
+ */
 bool
 readPayload(std::istream& in, std::size_t bytes, std::string& out)
 {
-    out.assign(bytes, '\0');
-    in.read(out.data(), static_cast<std::streamsize>(bytes));
-    return in.gcount() == static_cast<std::streamsize>(bytes);
+    constexpr std::size_t kChunk = 64 * 1024;
+    out.clear();
+    while (out.size() < bytes) {
+        const std::size_t have = out.size();
+        const std::size_t want = std::min(kChunk, bytes - have);
+        out.resize(have + want);
+        in.read(out.data() + have, static_cast<std::streamsize>(want));
+        const auto got = static_cast<std::size_t>(in.gcount());
+        out.resize(have + got);
+        if (got != want)
+            return false;
+    }
+    return true;
 }
 
 } // namespace
