@@ -79,7 +79,7 @@ main()
     std::cout << "pipelined execution matches sequential: "
               << (sim::equivalent(seq, pipe.state) ? "yes" : "NO") << "\n";
     std::cout << "sum of values above threshold: "
-              << seq.finalRegisters.at("big") << " (expected 61)\n";
+              << seq.finalRegister("big").value() << " (expected 61)\n";
     for (ir::ArrayId arr = 0; arr < loop.numArrays(); ++arr) {
         if (loop.arrays()[arr].name != "OUT")
             continue;

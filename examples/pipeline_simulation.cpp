@@ -9,8 +9,11 @@
  *
  *   $ ./pipeline_simulation [kernel-name] [trip-count]
  */
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "core/pipeliner.hpp"
 #include "machine/cydra5.hpp"
@@ -49,13 +52,17 @@ main(int argc, char** argv)
     std::cout << "final register values identical: "
               << (regs_equal ? "yes" : "NO") << "\n";
     if (!seq.finalRegisters.empty()) {
-        std::cout << "  e.g.";
-        int shown = 0;
-        for (const auto& [name, value] : seq.finalRegisters) {
-            std::cout << "  " << name << " = " << value;
-            if (++shown == 4)
-                break;
+        // The first few in-loop registers by name.
+        std::vector<std::string> names;
+        for (ir::RegId reg = 0; reg < w.loop.numRegisters(); ++reg) {
+            if (w.loop.definingOp(reg) >= 0)
+                names.push_back(w.loop.reg(reg).name);
         }
+        std::sort(names.begin(), names.end());
+        names.resize(std::min<std::size_t>(names.size(), 4));
+        std::cout << "  e.g.";
+        for (const auto& name : names)
+            std::cout << "  " << name << " = " << *seq.finalRegister(name);
         std::cout << "\n";
     }
 

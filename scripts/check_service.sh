@@ -16,7 +16,9 @@
 #     numeric flags the same way, and reject an unknown flag with exit 2,
 #  5. a `schedule` request whose byte count far exceeds the bytes sent
 #     gets the truncated-payload error under a 1 GB address-space limit,
-#     instead of aborting on an up-front allocation.
+#     instead of aborting on an up-front allocation, and a negative
+#     byte count on `schedule` or `register` is rejected without
+#     swallowing the lines after it (`machines` still answers).
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -95,6 +97,24 @@ if [ "$huge" != "error service.bad_request truncated payload" ]; then
     echo "check_service: oversized byte count answered '$huge'" >&2
     exit 1
 fi
+
+echo "== signed byte count (rejected; the next line still answers) =="
+expect_reply() {
+    local input="$1" want="$2"
+    local got
+    got=$(printf "$input" | "$SERVE" --threads 1 | sed -n 1,2p)
+    case "$got" in
+      "$want"$'\n'"ok "*) ;;
+      *)
+        echo "check_service: '$input' answered '$got'" >&2
+        exit 1
+        ;;
+    esac
+}
+expect_reply 'schedule -1\nmachines\nstats\n' \
+    "error service.bad_request missing byte count"
+expect_reply 'register tiny -3\nmachines\n' \
+    "error service.bad_request malformed register"
 
 cat > "$SMOKE_DIR/daxpy.ir" <<'EOF'
 loop daxpy

@@ -94,6 +94,23 @@ if [ "${IMS_CI_SKIP_FUZZ:-0}" != "1" ]; then
         echo "ci: optimality smoke found non-gap findings" >&2
         exit 1
     fi
+    # Oracle strength: with the deliberate dependence-delay bug (memory
+    # flow delays forced to 0), this campaign must fail with exactly 11
+    # sim.mismatch findings. Fewer means the sim-equivalence oracle went
+    # blind to a real schedule bug.
+    oracle_dir=$(mktemp -d)
+    status=0
+    build/tools/ims-fuzz --inject-delay-fault --seed 42 --cases 200 \
+        --repro-dir "$oracle_dir/repro" --out "$oracle_dir/report.json" \
+        > /dev/null || status=$?
+    codes=$(grep -o '"codes":{[^}]*}' "$oracle_dir/report.json" || true)
+    rm -rf "$oracle_dir"
+    if [ "$status" -ne 1 ] ||
+            [ "$codes" != '"codes":{"sim.mismatch":11}' ]; then
+        echo "ci: the injected delay fault gave exit $status and" \
+            "'$codes', expected exit 1 and {\"sim.mismatch\":11}" >&2
+        exit 1
+    fi
 else
     echo "==== stage 5/7: differential fuzz smoke (skipped) ===="
 fi

@@ -92,14 +92,12 @@ simEquivalenceDiagnostics(const ir::Loop& loop,
     for (const int trip : trips) {
         if (trip < 0)
             continue;
-        const sim::SimSpec spec = workloads::makeSimSpec(loop, trip, seed);
-
         std::optional<sim::InitialState> initial;
         std::optional<sim::SimResult> reference;
         try {
             if (invalid)
                 std::rethrow_exception(invalid);
-            initial = sim::bindSpec(loop, spec);
+            initial = workloads::makeInitialState(loop, trip, seed);
             reference = sim::runSequential(loop, *initial);
         } catch (const std::exception& error) {
             out.push_back({Diagnostic::Severity::kError, "verify",

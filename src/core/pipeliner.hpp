@@ -279,7 +279,7 @@ struct PipelineResult
  * reference interpreter and through every applicable pipelined engine at
  * each trip count, and report one kError diagnostic (code "sim.mismatch"
  * or "sim.error") per divergence. Input data is derived from `seed` via
- * workloads::makeSimSpec, so results are deterministic.
+ * workloads::makeInitialState, so results are deterministic.
  *
  * Engine applicability: the flat-schedule simulator runs at every trip
  * (including 0); the prologue/kernel/epilogue executor needs

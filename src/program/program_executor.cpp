@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <optional>
 #include <set>
 
 #include "sim/issue_stream.hpp"
@@ -139,13 +140,14 @@ marshalOut(const LoopSection& loop, const sim::SimResult& result, int trip,
     }
     if (trip >= 1 && !loop.hasEarlyExit()) {
         for (const auto& [var, reg] : loop.outputs) {
-            const auto it = result.finalRegisters.find(reg);
-            support::check(it != result.finalRegisters.end(), [&] {
+            const std::optional<sim::Value> value =
+                result.finalRegister(reg);
+            support::check(value.has_value(), [&] {
                 return "loop '" + loop.body.name() + "' output '" +
                        var + "': register '" + reg +
                        "' has no final value";
             });
-            variables[var] = it->second;
+            variables[var] = *value;
         }
     }
     if (!loop.itersVar.empty()) {

@@ -248,7 +248,7 @@ StreamEngine::finish()
 {
     const int executed = exitIter_ >= 0 ? exitIter_ + 1 : trip_;
     return SimResult{std::move(memory_), registers_.finalRegisters(),
-                     executed};
+                     executed, &registers_.loop()};
 }
 
 // The public entry points of pipeline_simulator.hpp and

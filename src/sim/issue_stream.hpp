@@ -87,7 +87,8 @@ IssueStream lowerKernelOnly(const ir::Loop& loop,
  * sequential reference's checks (a read before its definition executed,
  * an access outside the simulated memory). Once an exit fires, later
  * instances in program order store nothing and raise no exit. The loop,
- * stream and initial state must outlive the engine.
+ * stream and initial state must outlive the engine, and the loop also
+ * its results (SimResult::loop).
  */
 class StreamEngine
 {

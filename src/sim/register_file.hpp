@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -70,22 +69,25 @@ class RegisterFile
     }
 
     /** SimResult::finalRegisters (empty for zero trips or early exits). */
-    std::map<std::string, Value>
+    std::vector<Value>
     finalRegisters() const
     {
-        std::map<std::string, Value> out;
+        std::vector<Value> out;
         const auto& ops = loop_.operations();
         const auto is_exit = [](const ir::Operation& op) {
             return op.opcode == ir::Opcode::kExitIf;
         };
         if (tripCount_ == 0 || std::any_of(ops.begin(), ops.end(), is_exit))
             return out;
+        out.resize(static_cast<std::size_t>(loop_.numRegisters()));
         for (ir::RegId reg = 0; reg < loop_.numRegisters(); ++reg) {
             if (loop_.definingOp(reg) >= 0)
-                out[loop_.reg(reg).name] = read(reg, tripCount_ - 1);
+                out[reg] = read(reg, tripCount_ - 1);
         }
         return out;
     }
+
+    const ir::Loop& loop() const { return loop_; }
 
   private:
     std::size_t

@@ -24,16 +24,32 @@ describeDifference(const SimResult& a, const SimResult& b)
         return memory;
     if (a.finalRegisters.size() != b.finalRegisters.size())
         return "final register sets differ in size";
-    for (const auto& [name, value] : a.finalRegisters) {
-        const auto it = b.finalRegisters.find(name);
-        if (it == b.finalRegisters.end())
-            return "register '" + name + "' missing from second state";
-        if (!sameValue(value, it->second)) {
-            return "register '" + name + "': " + std::to_string(value) +
-                   " vs " + std::to_string(it->second);
-        }
+    // Live-ins hold 0 on both sides, so only in-loop definitions differ.
+    ir::RegId first = ir::kNoReg;
+    for (ir::RegId reg = 0; reg < static_cast<int>(a.finalRegisters.size());
+         ++reg) {
+        if (!sameValue(a.finalRegisters[reg], b.finalRegisters[reg]) &&
+            (first == ir::kNoReg ||
+             a.loop->reg(reg).name < a.loop->reg(first).name))
+            first = reg;
     }
-    return "";
+    if (first == ir::kNoReg)
+        return "";
+    return "register '" + a.loop->reg(first).name + "': " +
+           std::to_string(a.finalRegisters[first]) + " vs " +
+           std::to_string(b.finalRegisters[first]);
+}
+
+std::optional<Value>
+SimResult::finalRegister(std::string_view name) const
+{
+    if (finalRegisters.empty())
+        return std::nullopt;
+    for (ir::RegId reg = 0; reg < loop->numRegisters(); ++reg) {
+        if (loop->reg(reg).name == name && loop->definingOp(reg) >= 0)
+            return finalRegisters[reg];
+    }
+    return std::nullopt;
 }
 
 InitialState
@@ -126,7 +142,8 @@ runSequential(const ir::Loop& loop, const InitialState& initial)
             registers.write(op.dest, iter, result);
         }
     }
-    return SimResult{std::move(memory), registers.finalRegisters(), executed};
+    return SimResult{std::move(memory), registers.finalRegisters(), executed,
+                     &loop};
 }
 
 } // namespace ims::sim

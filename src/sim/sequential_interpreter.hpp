@@ -2,7 +2,9 @@
 #define IMS_SIM_SEQUENTIAL_INTERPRETER_HPP
 
 #include <map>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ir/loop.hpp"
@@ -43,17 +45,29 @@ struct SimResult
 {
     Memory memory;
     /**
-     * Final (last executed iteration) value of every register defined
-     * in-loop. Left empty for loops containing early exits (kExitIf):
-     * post-exit registers are speculative and engine-dependent, so
-     * equivalence for such loops is judged on memory and the exit point.
+     * Final (last executed iteration) value of every register, indexed
+     * by ir::RegId; live-ins hold 0. Left empty for zero trips and for
+     * loops containing early exits (kExitIf): post-exit registers are
+     * speculative and engine-dependent, so equivalence for such loops is
+     * judged on memory and the exit point.
      */
-    std::map<std::string, Value> finalRegisters;
+    std::vector<Value> finalRegisters;
     /**
      * Iterations entered: the trip count for DO-loops, or E + 1 when an
      * early exit fired in iteration E.
      */
     int executedIterations = 0;
+    /**
+     * The loop that ran, which names the registers; it must outlive the
+     * result (null only for a default-constructed one).
+     */
+    const ir::Loop* loop = nullptr;
+
+    /**
+     * Final value of the register named `name`, or nullopt when it is not
+     * defined in-loop or there are no final registers.
+     */
+    std::optional<Value> finalRegister(std::string_view name) const;
 };
 
 /**
@@ -79,17 +93,19 @@ struct InitialState
 InitialState bindSpec(const ir::Loop& loop, const SimSpec& spec);
 
 /**
- * NaN-tolerant equivalence between two final states (same arrays, same
- * register names, every value equal by sim::sameValue). The canonical
- * check that a pipelined execution preserved the loop's semantics.
+ * NaN-tolerant equivalence between two final states of one loop (same
+ * arrays, same registers, every value equal by sim::sameValue). The
+ * canonical check that a pipelined execution preserved the loop's
+ * semantics.
  */
 bool equivalent(const SimResult& a, const SimResult& b);
 
 /**
  * Human-readable description of the first difference between two final
- * states ("" when equivalent): executed-iteration counts, memory contents,
- * then register values. Used by the sim-equivalence oracle to produce
- * actionable diagnostics.
+ * states of one loop ("" when equivalent): executed-iteration counts,
+ * memory contents, then register values, compared by id. Of several
+ * differing registers, the one first in name order is reported. Used by
+ * the sim-equivalence oracle to produce actionable diagnostics.
  */
 std::string describeDifference(const SimResult& a, const SimResult& b);
 

@@ -730,13 +730,20 @@ kernelByName(const std::string& name)
     throw support::Error("unknown kernel '" + name + "'");
 }
 
-sim::SimSpec
-makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
-{
-    support::Rng rng(seed);
-    sim::SimSpec spec;
-    spec.tripCount = trip_count;
+namespace {
 
+/** The shape of the simulation input for `loop` at one trip count. */
+struct InputShape
+{
+    int margin = 0;
+    /** Initialised cells per array, from logical index -margin. */
+    int cells = 0;
+    int maxDistance = 0;
+};
+
+InputShape
+inputShape(const ir::Loop& loop, int trip_count)
+{
     int max_offset = 0;
     int max_stride = 1;
     for (const auto& op : loop.operations()) {
@@ -746,28 +753,70 @@ makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
         }
     }
     const int max_distance = loop.maxDistance();
-    spec.margin = std::max(8, max_offset + max_distance + 2);
+    const int margin = std::max(8, max_offset + max_distance + 2);
+    return {margin, max_stride * trip_count + 2 * margin, max_distance};
+}
 
-    const int cells = max_stride * trip_count + 2 * spec.margin;
-    for (const auto& array : loop.arrays()) {
-        std::vector<sim::Value> contents;
-        contents.reserve(cells);
-        for (int k = 0; k < cells; ++k)
-            contents.push_back(rng.uniformReal() * 4.0 - 2.0);
-        spec.arrays[array.name] = {-spec.margin, std::move(contents)};
+} // namespace
+
+sim::InitialState
+makeInitialState(const ir::Loop& loop, int trip_count, std::uint64_t seed)
+{
+    support::check(trip_count >= 0, "trip count must be non-negative");
+    const InputShape shape = inputShape(loop, trip_count);
+    const auto regs = static_cast<std::size_t>(loop.numRegisters());
+    sim::InitialState state{trip_count,
+                            std::vector<sim::Value>(regs),
+                            {},
+                            std::vector<int>(regs),
+                            std::vector<int>(regs),
+                            sim::Memory(loop, trip_count, shape.margin)};
+    // The draw order defines the input: every cell of each array, then
+    // each live-in's value (none for predicates) and seeds.
+    state.seeds.reserve(regs * shape.maxDistance);
+    support::Rng rng(seed);
+    const auto draw = [&] { return rng.uniformReal() * 4.0 - 2.0; };
+    for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
+        for (int k = 0; k < shape.cells; ++k)
+            state.memory.write(array, k - shape.margin, draw());
     }
-
-    for (const auto& reg : loop.registers()) {
-        if (!reg.isLiveIn)
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        const ir::RegisterInfo& info = loop.reg(reg);
+        if (!info.isLiveIn)
             continue;
-        spec.liveIn[reg.name] =
-            reg.isPredicate ? 0.0 : rng.uniformReal() * 4.0 - 2.0;
-        if (max_distance > 0) {
-            std::vector<sim::Value> seeds;
-            seeds.reserve(max_distance);
-            for (int k = 0; k < max_distance; ++k)
-                seeds.push_back(rng.uniformReal() * 4.0 - 2.0);
-            spec.seeds[reg.name] = std::move(seeds);
+        state.liveIn[reg] = info.isPredicate ? 0.0 : draw();
+        if (shape.maxDistance > 0) {
+            state.seedFirst[reg] = static_cast<int>(state.seeds.size());
+            state.seedCount[reg] = shape.maxDistance;
+            for (int k = 0; k < shape.maxDistance; ++k)
+                state.seeds.push_back(draw());
+        }
+    }
+    return state;
+}
+
+sim::SimSpec
+makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
+{
+    const sim::InitialState state = makeInitialState(loop, trip_count, seed);
+    const InputShape shape = inputShape(loop, trip_count);
+    sim::SimSpec spec;
+    spec.tripCount = trip_count;
+    spec.margin = shape.margin;
+    for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
+        spec.arrays[loop.arrays()[array].name] = {
+            -shape.margin,
+            state.memory.snapshot(array, -shape.margin, shape.cells)};
+    }
+    for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
+        const ir::RegisterInfo& info = loop.reg(reg);
+        if (!info.isLiveIn)
+            continue;
+        spec.liveIn[info.name] = state.liveIn[reg];
+        if (state.seedCount[reg] > 0) {
+            const auto first = state.seeds.begin() + state.seedFirst[reg];
+            spec.seeds[info.name].assign(first,
+                                         first + state.seedCount[reg]);
         }
     }
     return spec;

@@ -36,10 +36,20 @@ std::vector<Workload> kernelLibrary();
 Workload kernelByName(const std::string& name);
 
 /**
- * Build a deterministic simulation input for `loop`: arrays filled with
- * seeded pseudo-random contents over the full margin range, live-in
- * registers given small random values, and recurrence seeds supplied up to
- * the loop's maximum operand distance.
+ * Build a deterministic simulation input for `loop`, bound to its ids:
+ * arrays filled with seeded pseudo-random contents over the full margin
+ * range, live-in registers given small random values, and recurrence
+ * seeds supplied up to the loop's maximum operand distance.
+ *
+ * @throws support::Error on a negative trip count.
+ */
+sim::InitialState makeInitialState(const ir::Loop& loop, int trip_count,
+                                   std::uint64_t seed);
+
+/**
+ * makeInitialState's input by name: sim::bindSpec(loop, makeSimSpec(...))
+ * equals makeInitialState(...) for a loop whose register and array names
+ * are distinct.
  */
 sim::SimSpec makeSimSpec(const ir::Loop& loop, int trip_count,
                          std::uint64_t seed);

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "codegen/kernel_only.hpp"
 #include "core/pipeliner.hpp"
 #include "graph/graph_builder.hpp"
@@ -47,6 +49,7 @@ TEST(EarlyExitTest, SequentialStopsAtFirstNegative)
     // Early-exit loops report no final registers (post-exit values are
     // speculative).
     EXPECT_TRUE(result.finalRegisters.empty());
+    EXPECT_EQ(result.finalRegister("s"), std::nullopt);
 }
 
 TEST(EarlyExitTest, NoExitRunsToTheTripCap)

@@ -83,7 +83,7 @@ checkSumPositiveSquares(const ir::Loop& loop)
     spec.arrays["Y"] = {0, {9, 9, 9, 9, 9, 9}};
     const auto result = sim::runSequential(loop, spec);
     // s = 1 + 3 + 5 = 9 (x = 0 is not > 0).
-    EXPECT_DOUBLE_EQ(result.finalRegisters.at("s"), 9.0);
+    EXPECT_DOUBLE_EQ(result.finalRegister("s").value(), 9.0);
     for (ir::ArrayId arr = 0; arr < loop.numArrays(); ++arr) {
         if (loop.arrays()[arr].name != "Y")
             continue;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -143,7 +144,44 @@ TEST(SequentialTest, FirstOrderRecurrenceUsesSeed)
     spec.arrays["B"] = {0, {1.0, 1.0, 1.0}};
     const auto result = sim::runSequential(w.loop, spec);
     // x_0 = .5*8+1 = 5; x_1 = 3.5; x_2 = 2.75.
-    EXPECT_DOUBLE_EQ(result.finalRegisters.at("x"), 2.75);
+    EXPECT_DOUBLE_EQ(result.finalRegister("x").value(), 2.75);
+}
+
+TEST(SequentialTest, MismatchNamesTheRegisterFirstInNameOrder)
+{
+    // "zeta" gets the lower id and "alpha" the higher: the message names
+    // alpha, the first differing register by name.
+    ir::LoopBuilder b("naming");
+    b.liveIn("a");
+    b.op(Opcode::kAdd, "zeta", {b.reg("a"), b.imm(1.0)});
+    b.op(Opcode::kAdd, "alpha", {b.reg("zeta"), b.imm(1.0)});
+    const ir::Loop loop = b.build();
+    ASSERT_EQ(loop.reg(1).name, "zeta");
+    ASSERT_EQ(loop.reg(2).name, "alpha");
+    sim::SimSpec spec;
+    spec.tripCount = 2;
+    spec.liveIn["a"] = 1.0;
+    const auto seq = sim::runSequential(loop, spec);
+    ASSERT_EQ(seq.finalRegisters.size(), 3u);
+    EXPECT_EQ(seq.finalRegister("zeta"), 2.0);
+    EXPECT_EQ(seq.finalRegister("alpha"), 3.0);
+    EXPECT_EQ(seq.finalRegister("a"), std::nullopt); // a live-in
+    EXPECT_EQ(seq.finalRegister("nope"), std::nullopt);
+
+    auto other = seq;
+    other.finalRegisters[1] += 1.0; // zeta
+    other.finalRegisters[2] += 2.0; // alpha
+    EXPECT_EQ(sim::describeDifference(seq, other),
+              "register 'alpha': 3.000000 vs 5.000000");
+    EXPECT_FALSE(sim::equivalent(seq, other));
+    other.finalRegisters[2] = 3.0;
+    EXPECT_EQ(sim::describeDifference(seq, other),
+              "register 'zeta': 2.000000 vs 3.000000");
+
+    other.finalRegisters.clear();
+    EXPECT_EQ(sim::describeDifference(seq, other),
+              "final register sets differ in size");
+    EXPECT_EQ(other.finalRegister("alpha"), std::nullopt);
 }
 
 TEST(SequentialTest, GuardFalseSkipsStoreAndZeroesDest)
@@ -172,7 +210,7 @@ TEST(SequentialTest, MaxReduceTracksRunningMaximum)
     spec.liveIn["m"] = -100.0; // seed fallback for m[-1]
     spec.arrays["X"] = {0, {3.0, 9.0, 1.0, 4.0}};
     const auto result = sim::runSequential(w.loop, spec);
-    EXPECT_DOUBLE_EQ(result.finalRegisters.at("m"), 9.0);
+    EXPECT_DOUBLE_EQ(result.finalRegister("m").value(), 9.0);
 }
 
 TEST(SequentialTest, MemoryRecurrencePropagates)

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "ir/printer.hpp"
 #include "support/error.hpp"
@@ -60,6 +63,63 @@ TEST(KernelLibraryTest, MakeSimSpecDeterministic)
     const auto b = workloads::makeSimSpec(w.loop, 10, 4);
     EXPECT_EQ(a.arrays.at("X"), b.arrays.at("X"));
     EXPECT_EQ(a.liveIn, b.liveIn);
+}
+
+/** Bitwise equality of two value vectors. */
+bool
+sameBits(const std::vector<sim::Value>& a, const std::vector<sim::Value>& b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](sim::Value x, sim::Value y) {
+                          return std::bit_cast<std::uint64_t>(x) ==
+                                 std::bit_cast<std::uint64_t>(y);
+                      });
+}
+
+TEST(KernelLibraryTest, MakeInitialStateEqualsTheBoundSpec)
+{
+    std::vector<ir::Loop> loops;
+    for (auto& w : workloads::kernelLibrary())
+        loops.push_back(std::move(w.loop));
+    support::Rng rng(20260806);
+    for (int k = 0; k < 200; ++k) {
+        loops.push_back(workloads::generateLoop(
+            rng, "f" + std::to_string(k), workloads::fuzzProfile()));
+    }
+    ASSERT_EQ(loops.size(), 239u);
+    for (const auto& loop : loops) {
+        for (const int trip : {0, 1, 2, 5, 17, 40}) {
+            for (const std::uint64_t seed : {1u, 23u, 77u}) {
+                const auto spec = workloads::makeSimSpec(loop, trip, seed);
+                const auto bound = sim::bindSpec(loop, spec);
+                const auto direct =
+                    workloads::makeInitialState(loop, trip, seed);
+                SCOPED_TRACE(loop.name() + " trip " + std::to_string(trip) +
+                             " seed " + std::to_string(seed));
+                EXPECT_EQ(direct.tripCount, bound.tripCount);
+                EXPECT_TRUE(sameBits(direct.liveIn, bound.liveIn));
+                EXPECT_TRUE(sameBits(direct.seeds, bound.seeds));
+                EXPECT_EQ(direct.seedFirst, bound.seedFirst);
+                EXPECT_EQ(direct.seedCount, bound.seedCount);
+                EXPECT_EQ(direct.memory.firstDifference(bound.memory), "");
+                for (ir::ArrayId array = 0; array < loop.numArrays();
+                     ++array) {
+                    const int cells = static_cast<int>(
+                        spec.arrays.at(loop.arrays()[array].name)
+                            .second.size());
+                    EXPECT_TRUE(sameBits(
+                        direct.memory.snapshot(array, -spec.margin, cells),
+                        bound.memory.snapshot(array, -spec.margin, cells)));
+                }
+            }
+        }
+    }
+}
+
+TEST(KernelLibraryTest, MakeInitialStateRejectsANegativeTrip)
+{
+    const auto w = workloads::kernelByName("daxpy");
+    EXPECT_THROW(workloads::makeInitialState(w.loop, -1, 1), support::Error);
 }
 
 TEST(RandomLoopsTest, GeneratedLoopsValidate)

@@ -44,6 +44,7 @@
 #include <fstream>
 #include <future>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -139,6 +140,18 @@ numberOrUsage(const std::string& text)
         usage(2);
     }
     return *value;
+}
+
+/**
+ * The next token of a request line as a byte count, read in full as an
+ * unsigned number: "-1" or "5x" is no count (a signed one would wrap).
+ */
+std::optional<std::size_t>
+readByteCount(std::istream& request)
+{
+    std::string token;
+    request >> token;
+    return support::parseNumber<std::size_t>(token);
 }
 
 /**
@@ -260,9 +273,8 @@ main(int argc, char** argv)
         request >> command;
 
         if (command == "schedule") {
-            std::size_t bytes = 0;
-            request >> bytes;
-            if (request.fail()) {
+            const std::optional<std::size_t> bytes = readByteCount(request);
+            if (!bytes) {
                 flush_all();
                 std::cout << "error service.bad_request missing byte count\n"
                           << std::flush;
@@ -277,7 +289,7 @@ main(int argc, char** argv)
                 else if (attribute.rfind("machine=", 0) == 0)
                     item.machine = attribute.substr(8);
             }
-            if (!readPayload(std::cin, bytes, item.loopText)) {
+            if (!readPayload(std::cin, *bytes, item.loopText)) {
                 flush_all();
                 std::cout << "error service.bad_request truncated payload\n"
                           << std::flush;
@@ -288,10 +300,10 @@ main(int argc, char** argv)
         } else if (command == "register") {
             flush_all();
             std::string name;
-            std::size_t bytes = 0;
-            request >> name >> bytes;
+            request >> name;
+            const std::optional<std::size_t> bytes = readByteCount(request);
             std::string text;
-            if (request.fail() || !readPayload(std::cin, bytes, text)) {
+            if (!bytes || !readPayload(std::cin, *bytes, text)) {
                 std::cout << "error service.bad_request malformed register\n"
                           << std::flush;
                 continue;
