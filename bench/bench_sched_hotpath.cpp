@@ -13,7 +13,8 @@
  *
  *  2. **Throughput**: sweep loop sizes (unrolled kernels up to 400+ ops)
  *     through the raw scheduler and through the BatchPipeliner at several
- *     thread counts, and report scheduler steps/second and loops/second.
+ *     thread counts, and report scheduler steps/second and loops/second;
+ *     every thread count must give the batch's schedules bit for bit.
  *     The results are written as BENCH_sched_hotpath.json; with
  *     --baseline the run fails if any metric regresses by more than 10%
  *     against the checked-in baseline (scripts/check_perf.sh drives this).
@@ -314,8 +315,6 @@ struct BatchSample
     int threads = 0;
     /** Whole-batch repetitions the calibration loop accumulated. */
     int runs = 0;
-    /** Work-stealing migrations summed over the runs (observability). */
-    std::uint64_t workSteals = 0;
     double wallSeconds = 0.0;
     double loopsPerSecond = 0.0;
 };
@@ -533,9 +532,11 @@ main(int argc, char** argv)
     // and reports the aggregate rate.
     const double min_batch_wall = quick ? 0.05 : 0.75;
     support::TextTable batch_table("BatchPipeliner throughput");
-    batch_table.addHeader(
-        {"loops", "threads", "runs", "steals", "wall s", "loops/s"});
+    batch_table.addHeader({"loops", "threads", "runs", "wall s", "loops/s"});
     std::vector<BatchSample> batch_samples;
+    // Every thread count must reproduce the first count's schedules:
+    // (II, issue times, alternatives) of each loop, flattened.
+    std::vector<int> reference_schedules;
     for (const int threads : thread_counts) {
         core::BatchPipeliner batch(
             machine, core::BatchOptions{}.withThreads(threads));
@@ -551,8 +552,26 @@ main(int argc, char** argv)
                           << " loops failed to pipeline\n";
                 return 1;
             }
+            if (sample.runs == 0) {
+                std::vector<int> schedules;
+                for (const auto& item : result.items) {
+                    const auto& s = item.result.artifacts->outcome.schedule;
+                    schedules.push_back(s.ii);
+                    schedules.insert(schedules.end(), s.times.begin(),
+                                     s.times.end());
+                    schedules.insert(schedules.end(),
+                                     s.alternatives.begin(),
+                                     s.alternatives.end());
+                }
+                if (reference_schedules.empty())
+                    reference_schedules = std::move(schedules);
+                else if (schedules != reference_schedules) {
+                    std::cerr << "batch sweep: the schedules at " << threads
+                              << " threads differ from the first sweep's\n";
+                    return 1;
+                }
+            }
             ++sample.runs;
-            sample.workSteals += result.workSteals;
             sample.wallSeconds = secondsSince(start);
         } while (sample.wallSeconds < min_batch_wall);
         sample.loopsPerSecond =
@@ -561,7 +580,6 @@ main(int argc, char** argv)
         batch_table.addRow({std::to_string(sample.loops),
                             std::to_string(sample.threads),
                             std::to_string(sample.runs),
-                            std::to_string(sample.workSteals),
                             support::formatDouble(sample.wallSeconds, 3),
                             support::formatDouble(sample.loopsPerSecond,
                                                   1)});
@@ -569,7 +587,7 @@ main(int argc, char** argv)
     }
     batch_table.print(std::cout);
 
-    // Conditional scaling gate: on real many-core hardware the stealing
+    // Conditional scaling gate: on real many-core hardware the
     // batch driver must deliver >= 3x at 8 threads over 1; on smaller
     // machines (CI containers pinned to a core or two) the numbers are
     // still recorded but cannot gate.
@@ -637,8 +655,8 @@ main(int argc, char** argv)
             const auto& s = batch_samples[i];
             out << "    {\"name\": \"" << s.name << "\", \"loops\": "
                 << s.loops << ", \"threads\": " << s.threads
-                << ", \"runs\": " << s.runs << ", \"work_steals\": "
-                << s.workSteals << ", \"wall_seconds\": " << s.wallSeconds
+                << ", \"runs\": " << s.runs
+                << ", \"wall_seconds\": " << s.wallSeconds
                 << ", \"loops_per_second\": " << s.loopsPerSecond << "}"
                 << (i + 1 < batch_samples.size() ? "," : "") << "\n";
         }

@@ -5,10 +5,10 @@
 #     checked-in seed golden, and fail if any throughput metric regresses
 #     by more than 10% against the checked-in baseline
 #     (BENCH_sched_hotpath.json at the repo root). --scaling-gate also
-#     requires the work-stealing BatchPipeliner to reach >=3x loops/s at
-#     8 threads over 1 thread — enforced only when the host reports >= 8
-#     hardware threads; smaller machines record the ratio with
-#     "gate_enforced": false in the JSON.
+#     requires the BatchPipeliner, whose workers claim loops from one
+#     shared counter, to reach >=3x loops/s at 8 threads over 1 thread —
+#     enforced only when the host reports >= 8 hardware threads; smaller
+#     machines record the ratio with "gate_enforced": false in the JSON.
 #  2. bench_service — schedule-cache traffic replay: cache hits must be
 #     bit-identical to cold runs, the replay pass must hit >=95% of the
 #     time, and the hit-path p50 latency must be >=10x faster than the

@@ -18,7 +18,9 @@
 #     gets the truncated-payload error under a 1 GB address-space limit,
 #     instead of aborting on an up-front allocation, and a negative
 #     byte count on `schedule` or `register` is rejected without
-#     swallowing the lines after it (`machines` still answers).
+#     swallowing the lines after it (`machines` still answers),
+#  6. a request whose answer runs out of memory under a 600 MB
+#     address-space limit is answered, and the next line still answers.
 #
 # Usage: scripts/check_service.sh [build-dir]   (default: build)
 set -euo pipefail
@@ -115,6 +117,40 @@ expect_reply 'schedule -1\nmachines\nstats\n' \
     "error service.bad_request missing byte count"
 expect_reply 'register tiny -3\nmachines\n' \
     "error service.bad_request malformed register"
+
+echo "== allocation failure (answered; the next line still answers) =="
+# A memory recurrence through a 10,000,000-cycle add schedules at II
+# 10,000,002, and rendering its report for the fingerprint throws
+# std::bad_alloc under the limit.
+huge_machine='machine huge
+resource r0
+opcode load 1
+alt a 0:r0
+opcode store 1
+alt a 0:r0
+opcode add 10000000
+alt a 0:r0
+'
+huge_loop='loop memrec
+mv = load #1 @ M -1
+s = add mv, #1
+_ = store #1, s @ M 0
+'
+oom=$( (ulimit -v 600000
+        printf 'register huge %d\n%sschedule %d machine=huge\n%smachines\n' \
+            "${#huge_machine}" "$huge_machine" "${#huge_loop}" "$huge_loop" |
+            "$SERVE" --threads 1 | sed -n 2,3p) ) || {
+    echo "check_service: ims-serve died on an allocation failure" >&2
+    exit 1
+}
+case "$oom" in
+  "error service.internal "*$'\n'"ok "*) ;;
+  "result memrec "*$'\n'"ok "*) ;;
+  *)
+    echo "check_service: the allocation failure answered '$oom'" >&2
+    exit 1
+    ;;
+esac
 
 cat > "$SMOKE_DIR/daxpy.ir" <<'EOF'
 loop daxpy

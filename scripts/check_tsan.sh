@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Build the concurrent components under ThreadSanitizer — the batch
-# driver and the schedule service's worker pool and sharded cache — and
-# run their tests plus a small multi-threaded bench sweep. program_test
-# runs too: the program compiler is single-threaded, but it drives every
+# driver, the fuzz campaign's parallel cases, and the schedule service's
+# worker pool and sharded cache — and run their tests. program_test runs
+# too: the program compiler is single-threaded, but it drives every
 # library layer the service's workers run. Any data race fails the
 # script.
 #
@@ -16,7 +16,7 @@ cmake -B "$BUILD_DIR" -S . -DIMS_SANITIZE=thread \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
 cmake --build "$BUILD_DIR" -j \
     --target batch_pipeliner_test telemetry_test pipeliner_test \
-             service_test program_test bench_batch_throughput
+             service_test program_test fuzz_test
 
 export TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1"
 
@@ -30,7 +30,8 @@ echo "== service_test (tsan) =="
 "$BUILD_DIR/tests/service_test"
 echo "== program_test (tsan) =="
 "$BUILD_DIR/tests/program_test"
-echo "== bench_batch_throughput (tsan, small sweep) =="
-"$BUILD_DIR/bench/bench_batch_throughput" --loops 40 --threads 1,4,8
+echo "== fuzz_test campaign across thread counts (tsan) =="
+"$BUILD_DIR/tests/fuzz_test" \
+    --gtest_filter=Campaign.ReportIsDeterministicAcrossRunsAndThreadCounts
 
 echo "tsan: all checks passed"

@@ -2,7 +2,6 @@
 #define IMS_CORE_BATCH_PIPELINER_HPP
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -54,12 +53,6 @@ struct BatchResult
     double wallSeconds = 0.0;
     /** Worker threads actually used. */
     int threadsUsed = 1;
-    /**
-     * Work-stealing migrations between workers (timing-dependent, zero on
-     * single-threaded runs; see support::workStealingFor). Observability
-     * only — never part of the deterministic result.
-     */
-    std::uint64_t workSteals = 0;
 
     std::size_t successes() const;
     std::size_t failures() const;
@@ -82,10 +75,9 @@ struct BatchResult
  * diagnostics on the corresponding item (one malformed loop cannot take
  * down the batch), and result ordering is deterministic regardless of
  * thread count or completion order. Work is distributed by
- * support::workStealingFor: each worker owns a contiguous slice of the
- * request range and idle workers steal half of a busy worker's
- * remainder, so one pathologically slow loop cannot serialise the tail
- * of the batch the way static slot assignment did.
+ * support::parallelFor: workers claim the next unstarted loop from one
+ * shared counter, so one pathologically slow loop occupies one worker
+ * while the others drain the rest of the batch.
  */
 class BatchPipeliner
 {

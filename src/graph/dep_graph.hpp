@@ -1,10 +1,7 @@
 #ifndef IMS_GRAPH_DEP_GRAPH_HPP
 #define IMS_GRAPH_DEP_GRAPH_HPP
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -79,24 +76,20 @@ struct Dep
  * edge-id array per direction plus per-vertex offsets, and a parallel
  * flat array of `Dep` records so the schedulers' inner loops walk
  * contiguous 12-byte entries instead of chasing per-vertex vectors into
- * the edge table. The CSR buffers are built lazily on first query and
- * invalidated by addEdge; the build is guarded by double-checked locking
- * so concurrent readers are safe (the service cache shares a cached
- * PipelineResult, graph included, between worker threads), while graph
- * *construction* remains single-threaded as before.
+ * the edge table. The graph is built once, CSR included, by its
+ * constructor and is immutable afterwards, so concurrent readers need
+ * no lock (the service cache shares a cached PipelineResult, graph
+ * included, between worker threads).
  */
 class DepGraph
 {
   public:
-    /** Create a graph over `num_ops` real operations (plus START/STOP). */
-    explicit DepGraph(int num_ops);
-
-    DepGraph(DepGraph&&) noexcept = default;
-    DepGraph& operator=(DepGraph&&) noexcept = default;
-    /** Copies duplicate the edge list only; the CSR view is a cache and
-        the copy rebuilds its own on first query. */
-    DepGraph(const DepGraph& other);
-    DepGraph& operator=(const DepGraph& other);
+    /**
+     * Create the graph over `num_ops` real operations (plus START/STOP)
+     * with `edges`; edge ids are positions in `edges`. Every edge must
+     * join two vertices of the graph with a non-negative distance.
+     */
+    DepGraph(int num_ops, std::vector<DepEdge> edges);
 
     int numOps() const { return numOps_; }
     int numVertices() const { return numOps_ + 2; }
@@ -109,30 +102,24 @@ class DepGraph
         return v >= numOps_;
     }
 
-    /** Append an edge; returns its id. Not safe against concurrent
-        queries — build the graph before sharing it across workers. */
-    EdgeId addEdge(DepEdge edge);
-
     const std::vector<DepEdge>& edges() const { return edges_; }
     const DepEdge& edge(EdgeId id) const { return edges_[id]; }
     int numEdges() const { return static_cast<int>(edges_.size()); }
 
-    /** Ids of edges leaving `v`, in insertion order. */
+    /** Ids of edges leaving `v`, in edge-id order. */
     std::span<const EdgeId>
     outEdges(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.outIds.data() + adj.outOffsets[v],
-                adj.outIds.data() + adj.outOffsets[v + 1]};
+        return {outIds_.data() + outOffsets_[v],
+                outIds_.data() + outOffsets_[v + 1]};
     }
 
-    /** Ids of edges entering `v`, in insertion order. */
+    /** Ids of edges entering `v`, in edge-id order. */
     std::span<const EdgeId>
     inEdges(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.inIds.data() + adj.inOffsets[v],
-                adj.inIds.data() + adj.inOffsets[v + 1]};
+        return {inIds_.data() + inOffsets_[v],
+                inIds_.data() + inOffsets_[v + 1]};
     }
 
     /** Compact records of the edges leaving `v`, aligned with outEdges:
@@ -140,9 +127,8 @@ class DepGraph
     std::span<const Dep>
     outDeps(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.outDeps.data() + adj.outOffsets[v],
-                adj.outDeps.data() + adj.outOffsets[v + 1]};
+        return {outDeps_.data() + outOffsets_[v],
+                outDeps_.data() + outOffsets_[v + 1]};
     }
 
     /** Compact records of the edges entering `v`, aligned with inEdges:
@@ -150,9 +136,8 @@ class DepGraph
     std::span<const Dep>
     inDeps(VertexId v) const
     {
-        const Adjacency& adj = adjacency();
-        return {adj.inDeps.data() + adj.inOffsets[v],
-                adj.inDeps.data() + adj.inOffsets[v + 1]};
+        return {inDeps_.data() + inOffsets_[v],
+                inDeps_.data() + inOffsets_[v + 1]};
     }
 
     /**
@@ -165,39 +150,16 @@ class DepGraph
     std::string toString() const;
 
   private:
-    /**
-     * The lazily-built CSR view. Offsets have numVertices()+1 entries;
-     * vertex v's slice of the flat arrays is [offsets[v], offsets[v+1]).
-     * Held behind a unique_ptr so the graph stays movable (the struct
-     * carries a mutex) and so a build never reallocates buffers another
-     * thread may be reading: buffers are only written under the mutex
-     * *before* `built` is published with release ordering.
-     */
-    struct Adjacency
-    {
-        std::atomic<bool> built{false};
-        std::mutex buildMutex;
-        std::vector<std::int32_t> outOffsets;
-        std::vector<std::int32_t> inOffsets;
-        std::vector<EdgeId> outIds;
-        std::vector<EdgeId> inIds;
-        std::vector<Dep> outDeps;
-        std::vector<Dep> inDeps;
-    };
-
-    const Adjacency&
-    adjacency() const
-    {
-        if (!adj_->built.load(std::memory_order_acquire))
-            buildAdjacency();
-        return *adj_;
-    }
-
-    void buildAdjacency() const;
-
     int numOps_;
     std::vector<DepEdge> edges_;
-    mutable std::unique_ptr<Adjacency> adj_;
+    /** CSR view: numVertices()+1 offsets per direction; vertex v's slice
+        of the flat arrays is [offsets[v], offsets[v+1]). */
+    std::vector<std::int32_t> outOffsets_;
+    std::vector<std::int32_t> inOffsets_;
+    std::vector<EdgeId> outIds_;
+    std::vector<EdgeId> inIds_;
+    std::vector<Dep> outDeps_;
+    std::vector<Dep> inDeps_;
 };
 
 } // namespace ims::graph

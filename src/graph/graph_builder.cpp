@@ -1,5 +1,6 @@
 #include "graph/graph_builder.hpp"
 
+#include <utility>
 #include <vector>
 
 #include "support/error.hpp"
@@ -30,7 +31,7 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
 {
     support::PhaseTimer timer(sink, support::Phase::kGraphBuild);
     loop.validate();
-    DepGraph graph(loop.size());
+    std::vector<DepEdge> edges;
 
     auto latency = [&](ir::OpId id) {
         return machine.latency(loop.operation(id).opcode);
@@ -48,7 +49,7 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
             through_memory)
             edge.delay = 0; // injected bug (see setDelayFaultForTesting)
         edge.throughMemory = through_memory;
-        graph.addEdge(edge);
+        edges.push_back(edge);
     };
 
     // Collect readers of each register for the non-DSA anti-dependences.
@@ -159,26 +160,29 @@ buildDepGraph(const ir::Loop& loop, const machine::MachineModel& machine,
         }
     }
 
-    // START/STOP pseudo edges (§3.1).
+    // START/STOP pseudo edges (§3.1); START and STOP are the vertices
+    // after the real operations.
+    const VertexId start = loop.size();
+    const VertexId stop = loop.size() + 1;
     for (const auto& op : loop.operations()) {
         DepEdge start_edge;
-        start_edge.from = graph.start();
+        start_edge.from = start;
         start_edge.to = op.id;
         start_edge.kind = DepKind::kPseudo;
         start_edge.distance = 0;
         start_edge.delay = 0;
-        graph.addEdge(start_edge);
+        edges.push_back(start_edge);
 
         DepEdge stop_edge;
         stop_edge.from = op.id;
-        stop_edge.to = graph.stop();
+        stop_edge.to = stop;
         stop_edge.kind = DepKind::kPseudo;
         stop_edge.distance = 0;
         stop_edge.delay = latency(op.id);
-        graph.addEdge(stop_edge);
+        edges.push_back(stop_edge);
     }
 
-    return graph;
+    return DepGraph(loop.size(), std::move(edges));
 }
 
 } // namespace ims::graph

@@ -81,6 +81,29 @@ ReservationTable::collidesWith(const ReservationTable& other, int delta) const
     return false;
 }
 
+LinearScheduleTable::LinearScheduleTable(int num_resources)
+    : wordsPerCycle_(std::max(1, (num_resources + 63) / 64))
+{
+    assert(num_resources >= 0);
+}
+
+void
+LinearScheduleTable::reserve(const ReservationTable& table, int time)
+{
+    for (const auto& use : table.uses()) {
+        const int cycle = time + use.time;
+        assert(cycle >= 0);
+        if (cycle >= span_) {
+            span_ = cycle + 1;
+            bits_.resize(static_cast<std::size_t>(span_) * wordsPerCycle_);
+        }
+        std::uint64_t& word = bits_[wordOf(cycle, use.resource)];
+        const std::uint64_t bit = std::uint64_t{1} << (use.resource % 64);
+        assert((word & bit) == 0);
+        word |= bit;
+    }
+}
+
 std::string
 tableKindName(TableKind kind)
 {

@@ -1,6 +1,9 @@
 #ifndef IMS_MACHINE_RESERVATION_TABLE_HPP
 #define IMS_MACHINE_RESERVATION_TABLE_HPP
 
+#include <cassert>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -72,6 +75,62 @@ class ReservationTable
     void normalize();
 
     std::vector<ResourceUse> uses_;
+};
+
+/**
+ * Linear (non-modulo) schedule reservation table: one bit per (absolute
+ * cycle, resource), grown on demand. This is §3.1's "regular, linear
+ * schedule reservation table", over which FindTimeSlot degenerates to
+ * list scheduling; the acyclic list scheduler and the program
+ * compiler's block-occupancy checks both reserve into it.
+ */
+class LinearScheduleTable
+{
+  public:
+    explicit LinearScheduleTable(int num_resources);
+
+    /** True if issuing `table` at cycle `time` hits a reserved cell. */
+    bool
+    conflicts(const ReservationTable& table, int time) const
+    {
+        for (const auto& use : table.uses()) {
+            if (taken(time + use.time, use.resource))
+                return true;
+        }
+        return false;
+    }
+
+    /** Reserve every cell of `table` issued at cycle `time` (>= 0); the
+        cells must be free. */
+    void reserve(const ReservationTable& table, int time);
+
+    /** True if `resource` is reserved at `cycle`; cycles outside
+        [0, cycleSpan()) are free. */
+    bool
+    taken(int cycle, ResourceId resource) const
+    {
+        if (cycle < 0 || cycle >= span_)
+            return false;
+        const std::size_t word = wordOf(cycle, resource);
+        return ((bits_[word] >> (resource % 64)) & 1) != 0;
+    }
+
+    /** One past the latest reserved cycle (0 when nothing is reserved). */
+    int cycleSpan() const { return span_; }
+
+  private:
+    std::size_t
+    wordOf(int cycle, ResourceId resource) const
+    {
+        assert(resource >= 0 && resource / 64 < wordsPerCycle_);
+        return static_cast<std::size_t>(cycle) * wordsPerCycle_ +
+               static_cast<std::size_t>(resource / 64);
+    }
+
+    int wordsPerCycle_;
+    int span_ = 0;
+    /** Cycle c's resource bits are words [c * wordsPerCycle_, ...). */
+    std::vector<std::uint64_t> bits_;
 };
 
 /** Name for a TableKind ("simple" / "block" / "complex"). */

@@ -106,47 +106,6 @@ appendControlStatements(Block& block, const std::string& trip_var,
                  "EC: ramp-down repetitions");
 }
 
-/** Dense (cycle, resource) occupancy grid. */
-class OccupancyGrid
-{
-  public:
-    explicit OccupancyGrid(int num_resources)
-        : numResources_(num_resources)
-    {
-    }
-
-    void
-    set(int cycle, machine::ResourceId resource)
-    {
-        if (cycle >= static_cast<int>(used_.size() / numResources_))
-            used_.resize(static_cast<std::size_t>(cycle + 1) *
-                             numResources_,
-                         false);
-        used_[static_cast<std::size_t>(cycle) * numResources_ + resource] =
-            true;
-    }
-
-    bool
-    taken(int cycle, machine::ResourceId resource) const
-    {
-        if (cycle < 0 ||
-            cycle >= static_cast<int>(used_.size() / numResources_))
-            return false;
-        return used_[static_cast<std::size_t>(cycle) * numResources_ +
-                     resource];
-    }
-
-    int
-    cycleSpan() const
-    {
-        return static_cast<int>(used_.size() / numResources_);
-    }
-
-  private:
-    int numResources_;
-    std::vector<bool> used_;
-};
-
 const machine::ReservationTable&
 tableOf(const machine::MachineModel& machine, const ir::Operation& op,
         int alternative)
@@ -155,18 +114,15 @@ tableOf(const machine::MachineModel& machine, const ir::Operation& op,
 }
 
 /** Absolute occupancy of a scheduled block (issue tails included). */
-OccupancyGrid
+machine::LinearScheduleTable
 blockOccupancy(const CompiledBlock& block,
                const machine::MachineModel& machine)
 {
-    OccupancyGrid grid(machine.numResources());
-    for (const auto& op : block.body.operations()) {
-        const auto& table =
-            tableOf(machine, op, block.alternatives[op.id]);
-        for (const auto& use : table.uses())
-            grid.set(block.times[op.id] + use.time, use.resource);
-    }
-    return grid;
+    machine::LinearScheduleTable occupancy(machine.numResources());
+    for (const auto& op : block.body.operations())
+        occupancy.reserve(tableOf(machine, op, block.alternatives[op.id]),
+                          block.times[op.id]);
+    return occupancy;
 }
 
 /** Hazard sets controlling which block ops may enter an overlap region. */
@@ -229,21 +185,19 @@ prologueOverlapDepth(const CompiledProgram& cp,
     if (ramp == 0 || n == 0)
         return 0;
 
-    OccupancyGrid loopOcc(machine.numResources());
+    machine::LinearScheduleTable loopOcc(machine.numResources());
     for (int rep = 0; rep < kernel.stageCount - 1; ++rep) {
         for (const auto& placement : kernel.placements) {
             if (placement.stage > rep)
                 continue; // statically dead in ramp-up repetition `rep`
-            const int issue = rep * ii + placement.slot;
-            const auto& table =
-                tableOf(machine,
-                        cp.source.loop.body.operation(placement.op),
-                        placement.alternative);
-            for (const auto& use : table.uses())
-                loopOcc.set(issue + use.time, use.resource);
+            loopOcc.reserve(
+                tableOf(machine, cp.source.loop.body.operation(placement.op),
+                        placement.alternative),
+                rep * ii + placement.slot);
         }
     }
-    const OccupancyGrid blockOcc = blockOccupancy(block, machine);
+    const machine::LinearScheduleTable blockOcc =
+        blockOccupancy(block, machine);
 
     const auto opAllowed = [&](const ir::Operation& op, int merged_cycle) {
         if (op.memRef &&
@@ -319,7 +273,8 @@ epilogueOverlapDepth(const CompiledProgram& cp,
     if (ramp == 0 || n == 0)
         return 0;
 
-    const OccupancyGrid blockOcc = blockOccupancy(block, machine);
+    const machine::LinearScheduleTable blockOcc =
+        blockOccupancy(block, machine);
 
     const auto opAllowed = [&](const ir::Operation& op) {
         if (op.memRef &&
@@ -370,16 +325,9 @@ epilogueOverlapDepth(const CompiledProgram& cp,
                  ++reps_eff) {
                 for (int j = sc - 1 - placement.stage;
                      feasible && j <= sc - 2; ++j) {
-                    const int base =
-                        (reps_eff - j - 1) * ii + placement.slot;
-                    for (const auto& use : table.uses()) {
-                        const int t = base + use.time;
-                        if (t >= 0 && t < blockOcc.cycleSpan() &&
-                            blockOcc.taken(t, use.resource)) {
-                            feasible = false;
-                            break;
-                        }
-                    }
+                    if (blockOcc.conflicts(
+                            table, (reps_eff - j - 1) * ii + placement.slot))
+                        feasible = false;
                 }
             }
         }

@@ -48,29 +48,6 @@ readCell(const ArrayStore& store, const std::string& array, int index)
     return cell == it->second.end() ? 0.0 : cell->second;
 }
 
-/** Loop-local simulation margin, identical to workloads::makeSimSpec. */
-int
-loopMargin(const ir::Loop& loop)
-{
-    int max_offset = 0;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            max_offset = std::max(max_offset, std::abs(op.memRef->offset));
-    }
-    return std::max(8, max_offset + loop.maxDistance() + 2);
-}
-
-int
-loopStride(const ir::Loop& loop)
-{
-    int stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            stride = std::max(stride, op.memRef->stride);
-    }
-    return stride;
-}
-
 /**
  * Marshal program state into a loop SimSpec: live-in and seed bindings
  * from the variables, shared arrays clipped to the loop's simulated
@@ -81,9 +58,10 @@ sim::SimSpec
 makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
              const ArrayStore& store)
 {
+    const sim::MemoryShape shape = sim::memoryShape(loop.body, trip);
     sim::SimSpec spec;
     spec.tripCount = trip;
-    spec.margin = loopMargin(loop.body);
+    spec.margin = shape.margin;
 
     for (const auto& reg : loop.body.registers()) {
         if (!reg.isLiveIn)
@@ -106,7 +84,7 @@ makeLoopSpec(const LoopSection& loop, int trip, const Variables& variables,
         spec.seeds[reg] = std::move(seeds);
     }
 
-    const int cells = loopStride(loop.body) * trip + 2 * spec.margin;
+    const int cells = static_cast<int>(shape.cells);
     for (const auto& array : loop.body.arrays()) {
         std::vector<sim::Value> contents;
         contents.reserve(cells);
@@ -126,8 +104,7 @@ void
 marshalOut(const LoopSection& loop, const sim::SimResult& result, int trip,
            Variables& variables, ArrayStore& store)
 {
-    const int margin = loopMargin(loop.body);
-    const int cells = loopStride(loop.body) * trip + 2 * margin;
+    const sim::MemoryShape shape = sim::memoryShape(loop.body, trip);
     std::set<ir::ArrayId> written;
     for (const auto& op : loop.body.operations()) {
         if (op.isStore() && op.memRef)
@@ -135,7 +112,8 @@ marshalOut(const LoopSection& loop, const sim::SimResult& result, int trip,
     }
     for (const ir::ArrayId id : written) {
         auto& cellsOut = store[loop.body.arrays()[id].name];
-        for (int k = -margin; k < cells - margin; ++k)
+        for (int k = -shape.margin;
+             k < static_cast<int>(shape.cells) - shape.margin; ++k)
             cellsOut[k] = result.memory.read(id, k);
     }
     if (trip >= 1 && !loop.hasEarlyExit()) {
@@ -528,11 +506,12 @@ makeProgramSpec(const Program& program, int trip, std::uint64_t seed)
                                   : rng.uniformReal() * 4.0 - 2.0;
     }
 
-    const int margin = loopMargin(program.loop.body);
-    const int stride = loopStride(program.loop.body);
-    const int cells =
-        std::max(stride * trip + margin, program.maxBlockIndex() + 1) +
-        margin;
+    // The loop's memory shape, widened to every index a block touches.
+    const sim::MemoryShape shape = sim::memoryShape(program.loop.body, trip);
+    const int margin = shape.margin;
+    const int cells = std::max(static_cast<int>(shape.cells) - margin,
+                               program.maxBlockIndex() + 1) +
+                      margin;
     for (const auto& name : program.arrayNames()) {
         std::vector<sim::Value> contents;
         contents.reserve(cells);

@@ -1,45 +1,11 @@
 #include "sched/list_scheduler.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <set>
-#include <utility>
 
+#include "machine/reservation_table.hpp"
 #include "sched/height_r.hpp"
 
 namespace ims::sched {
-
-namespace {
-
-/** Unbounded (linear) schedule reservation table. */
-class LinearReservationTable
-{
-  public:
-    bool
-    conflicts(const machine::ReservationTable& table, int time) const
-    {
-        for (const auto& use : table.uses()) {
-            if (cells_.count({time + use.time, use.resource}) != 0)
-                return true;
-        }
-        return false;
-    }
-
-    void
-    reserve(const machine::ReservationTable& table, int time)
-    {
-        for (const auto& use : table.uses()) {
-            [[maybe_unused]] const bool inserted =
-                cells_.insert({time + use.time, use.resource}).second;
-            assert(inserted);
-        }
-    }
-
-  private:
-    std::set<std::pair<int, machine::ResourceId>> cells_;
-};
-
-} // namespace
 
 ListScheduleResult
 listSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
@@ -68,7 +34,7 @@ listSchedule(const ir::Loop& loop, const machine::MachineModel& machine,
     std::vector<int> time(graph.numVertices(), 0);
     std::vector<int> alternative(graph.numVertices(), 0);
     std::vector<bool> placed(graph.numVertices(), false);
-    LinearReservationTable reservations;
+    machine::LinearScheduleTable reservations(machine.numResources());
 
     for (graph::VertexId v : order) {
         // Estart over placed predecessors (distance-0 edges only).

@@ -118,7 +118,10 @@ ScheduleService::handle(const ServiceRequest& request, double queue_seconds)
         core::PipelineResult result =
             pipeliner.pipeline(core::PipelineRequest(*loop));
         response.result = cache_.insert(key, std::move(result));
-    } catch (const support::Error& error) {
+    } catch (const std::exception& error) {
+        // The pipeline reports bad input as diagnostics on its result;
+        // anything thrown past it (an allocation failure, a throwing
+        // telemetry sink) is answered here so the worker keeps serving.
         return fail("service.internal", error.what());
     }
     response.status = ServiceResponse::Status::kOk;

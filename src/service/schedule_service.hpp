@@ -155,8 +155,8 @@ struct ServiceStats
  *    loop text, canonical machine text, normalized options text), so
  *    identical loops across requests hit a memoized PipelineResult,
  *  - a bounded async request queue drained by a persistent worker pool
- *    (the same resolveWorkerThreads/parallel substrate as
- *    BatchPipeliner) with per-client round-robin fairness and
+ *    (sized by support::resolveWorkerThreads, the clamp BatchPipeliner
+ *    uses too) with per-client round-robin fairness and
  *    "service.overloaded" admission rejections,
  *  - cache persistence: saveCacheText() serializes every memoized
  *    request via the canonical round-trip formats; loadCacheText()
@@ -166,7 +166,9 @@ struct ServiceStats
  * Determinism: a cache hit returns a result bit-identical (see
  * fingerprintResult) to the cold run that populated it, regardless of
  * worker count, because the pipeline itself is deterministic and the
- * cache stores immutable results.
+ * cache stores immutable results. Workers share a cached result without
+ * a lock: nothing in it, the dependence graph included, is written after
+ * construction.
  */
 class ScheduleService
 {
@@ -186,7 +188,8 @@ class ScheduleService
     /**
      * Handle a request synchronously on the calling thread, bypassing
      * the queue (no admission control) but sharing the cache. This is
-     * the workers' own execution path.
+     * the workers' own execution path. Any exception the pipeline throws
+     * is answered as "service.internal" with its message.
      */
     ServiceResponse scheduleNow(const ServiceRequest& request);
 

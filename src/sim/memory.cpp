@@ -2,22 +2,36 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
 
 #include "support/error.hpp"
 
 namespace ims::sim {
 
+MemoryShape
+memoryShape(const ir::Loop& loop, int trip_count, std::optional<int> margin)
+{
+    MemoryShape shape;
+    int max_offset = 0;
+    for (const auto& op : loop.operations()) {
+        if (op.memRef) {
+            max_offset = std::max(max_offset, std::abs(op.memRef->offset));
+            shape.stride = std::max(shape.stride, op.memRef->stride);
+        }
+    }
+    shape.margin = margin ? *margin
+                          : std::max(8, max_offset + loop.maxDistance() + 2);
+    shape.cells = static_cast<std::size_t>(trip_count) * shape.stride +
+                  2 * static_cast<std::size_t>(shape.margin);
+    return shape;
+}
+
 Memory::Memory(const ir::Loop& loop, int trip_count, int margin)
-    : margin_(margin), numArrays_(loop.numArrays())
+    : margin_(margin),
+      numArrays_(loop.numArrays()),
+      arrayCells_(memoryShape(loop, trip_count, margin).cells)
 {
     assert(trip_count >= 0 && margin >= 0);
-    int max_stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef)
-            max_stride = std::max(max_stride, op.memRef->stride);
-    }
-    arrayCells_ = static_cast<std::size_t>(trip_count) * max_stride +
-                  2 * static_cast<std::size_t>(margin);
     cells_.assign(arrayCells_ * numArrays_, 0.0);
 }
 

@@ -1,6 +1,8 @@
 #ifndef IMS_SIM_MEMORY_HPP
 #define IMS_SIM_MEMORY_HPP
 
+#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -8,6 +10,31 @@
 #include "sim/value.hpp"
 
 namespace ims::sim {
+
+/**
+ * Array shape of one loop simulation. The workload input generator, the
+ * program executor and Memory all size arrays by memoryShape, so a loop
+ * sees the same cells whichever of them set it up.
+ */
+struct MemoryShape
+{
+    /** Elements on each side of [0, trip count), for reads before the
+        first iteration (a[i-1] at i = 0) and past the last. */
+    int margin = 0;
+    /** Largest access stride (at least 1). */
+    int stride = 1;
+    /** Cells per array from logical index -margin:
+        stride * trip count + 2 * margin. */
+    std::size_t cells = 0;
+};
+
+/**
+ * The memory shape for simulating `loop` for `trip_count` iterations,
+ * with `margin` when given and otherwise the default margin
+ * max(8, max |offset| + maxDistance + 2).
+ */
+MemoryShape memoryShape(const ir::Loop& loop, int trip_count,
+                        std::optional<int> margin = std::nullopt);
 
 /**
  * Array storage for loop simulation. Accesses are to logical indices
@@ -21,7 +48,8 @@ class Memory
     /**
      * @param loop       declares the array symbols.
      * @param trip_count number of iterations to be simulated.
-     * @param margin     extra elements on both sides of [0, trip_count).
+     * @param margin     extra elements on both sides of [0, trip_count);
+     *                   the arrays have memoryShape's cells.
      */
     Memory(const ir::Loop& loop, int trip_count, int margin);
 

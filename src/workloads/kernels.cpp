@@ -1,7 +1,6 @@
 #include "workloads/kernels.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "ir/loop_builder.hpp"
 #include "support/error.hpp"
@@ -730,40 +729,12 @@ kernelByName(const std::string& name)
     throw support::Error("unknown kernel '" + name + "'");
 }
 
-namespace {
-
-/** The shape of the simulation input for `loop` at one trip count. */
-struct InputShape
-{
-    int margin = 0;
-    /** Initialised cells per array, from logical index -margin. */
-    int cells = 0;
-    int maxDistance = 0;
-};
-
-InputShape
-inputShape(const ir::Loop& loop, int trip_count)
-{
-    int max_offset = 0;
-    int max_stride = 1;
-    for (const auto& op : loop.operations()) {
-        if (op.memRef) {
-            max_offset = std::max(max_offset, std::abs(op.memRef->offset));
-            max_stride = std::max(max_stride, op.memRef->stride);
-        }
-    }
-    const int max_distance = loop.maxDistance();
-    const int margin = std::max(8, max_offset + max_distance + 2);
-    return {margin, max_stride * trip_count + 2 * margin, max_distance};
-}
-
-} // namespace
-
 sim::InitialState
 makeInitialState(const ir::Loop& loop, int trip_count, std::uint64_t seed)
 {
     support::check(trip_count >= 0, "trip count must be non-negative");
-    const InputShape shape = inputShape(loop, trip_count);
+    const sim::MemoryShape shape = sim::memoryShape(loop, trip_count);
+    const int max_distance = loop.maxDistance();
     const auto regs = static_cast<std::size_t>(loop.numRegisters());
     sim::InitialState state{trip_count,
                             std::vector<sim::Value>(regs),
@@ -773,22 +744,23 @@ makeInitialState(const ir::Loop& loop, int trip_count, std::uint64_t seed)
                             sim::Memory(loop, trip_count, shape.margin)};
     // The draw order defines the input: every cell of each array, then
     // each live-in's value (none for predicates) and seeds.
-    state.seeds.reserve(regs * shape.maxDistance);
+    state.seeds.reserve(regs * max_distance);
     support::Rng rng(seed);
     const auto draw = [&] { return rng.uniformReal() * 4.0 - 2.0; };
     for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
-        for (int k = 0; k < shape.cells; ++k)
-            state.memory.write(array, k - shape.margin, draw());
+        for (std::size_t k = 0; k < shape.cells; ++k)
+            state.memory.write(array, static_cast<int>(k) - shape.margin,
+                               draw());
     }
     for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
         const ir::RegisterInfo& info = loop.reg(reg);
         if (!info.isLiveIn)
             continue;
         state.liveIn[reg] = info.isPredicate ? 0.0 : draw();
-        if (shape.maxDistance > 0) {
+        if (max_distance > 0) {
             state.seedFirst[reg] = static_cast<int>(state.seeds.size());
-            state.seedCount[reg] = shape.maxDistance;
-            for (int k = 0; k < shape.maxDistance; ++k)
+            state.seedCount[reg] = max_distance;
+            for (int k = 0; k < max_distance; ++k)
                 state.seeds.push_back(draw());
         }
     }
@@ -799,14 +771,15 @@ sim::SimSpec
 makeSimSpec(const ir::Loop& loop, int trip_count, std::uint64_t seed)
 {
     const sim::InitialState state = makeInitialState(loop, trip_count, seed);
-    const InputShape shape = inputShape(loop, trip_count);
+    const sim::MemoryShape shape = sim::memoryShape(loop, trip_count);
     sim::SimSpec spec;
     spec.tripCount = trip_count;
     spec.margin = shape.margin;
     for (ir::ArrayId array = 0; array < loop.numArrays(); ++array) {
         spec.arrays[loop.arrays()[array].name] = {
             -shape.margin,
-            state.memory.snapshot(array, -shape.margin, shape.cells)};
+            state.memory.snapshot(array, -shape.margin,
+                                  static_cast<int>(shape.cells))};
     }
     for (ir::RegId reg = 0; reg < loop.numRegisters(); ++reg) {
         const ir::RegisterInfo& info = loop.reg(reg);

@@ -1,13 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
 #include <vector>
 
 #include "core/batch_pipeliner.hpp"
 #include "machine/cydra5.hpp"
-#include "support/parallel.hpp"
 #include "support/telemetry.hpp"
 #include "workloads/corpus.hpp"
 #include "workloads/kernels.hpp"
@@ -122,61 +118,6 @@ TEST(BatchPipelinerTest, SameLoopOneHundredTimesIsByteIdentical)
         EXPECT_EQ(reference[i].times, reference[0].times) << i;
         EXPECT_EQ(reference[i].unschedules, reference[0].unschedules) << i;
     }
-}
-
-TEST(BatchPipelinerTest, WorkStealingRunsEveryIndexExactlyOnce)
-{
-    constexpr std::size_t kCount = 257; // not a multiple of the pool size
-    std::vector<std::atomic<int>> runs(kCount);
-    support::WorkStealingStats stats;
-    support::workStealingFor(
-        kCount, 4, [&](std::size_t index) { ++runs[index]; }, &stats);
-    for (std::size_t i = 0; i < kCount; ++i)
-        EXPECT_EQ(runs[i].load(), 1) << i;
-}
-
-TEST(BatchPipelinerTest, WorkStealingRescuesABlockedSlice)
-{
-    // Deterministic stealing proof: item 0 blocks until every other item
-    // has completed. Its owner therefore cannot reach item 1 of its own
-    // slice, so the pool can only terminate if another worker *steals*
-    // item 1 — with static slot assignment (the pre-stealing driver)
-    // this test would deadlock rather than fail.
-    constexpr std::size_t kCount = 4;
-    std::mutex mutex;
-    std::condition_variable done_cv;
-    std::size_t done = 0;
-    support::WorkStealingStats stats;
-    support::workStealingFor(
-        kCount, 2,
-        [&](std::size_t index) {
-            std::unique_lock<std::mutex> lock(mutex);
-            if (index == 0) {
-                done_cv.wait(lock, [&] { return done == kCount - 1; });
-            } else {
-                ++done;
-                done_cv.notify_all();
-            }
-        },
-        &stats);
-    EXPECT_GE(stats.steals, 1u);
-}
-
-TEST(BatchPipelinerTest, StealCountIsReportedAndZeroWhenSingleThreaded)
-{
-    const auto loops = libraryLoops();
-    const auto machine = machine::cydra5();
-    const auto serial =
-        core::BatchPipeliner(machine, core::BatchOptions{}.withThreads(1))
-            .run(loops);
-    EXPECT_EQ(serial.workSteals, 0u);
-    // Parallel runs may or may not steal (timing), but must report the
-    // counter without perturbing results — DeterministicAcrossThreadCounts
-    // above pins the results themselves.
-    const auto parallel =
-        core::BatchPipeliner(machine, core::BatchOptions{}.withThreads(8))
-            .run(loops);
-    EXPECT_EQ(parallel.failures(), 0u);
 }
 
 TEST(BatchPipelinerTest, OneBadLoopDoesNotSinkTheBatch)

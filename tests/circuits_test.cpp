@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/circuits.hpp"
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
@@ -27,18 +30,29 @@ edge(int from, int to, int delay = 1, int distance = 0)
     return e;
 }
 
+/** Every ordered pair of distinct ops joined by a delay-1 distance-1 edge. */
+DepGraph
+completeGraph(int num_ops)
+{
+    std::vector<DepEdge> edges;
+    for (int i = 0; i < num_ops; ++i) {
+        for (int j = 0; j < num_ops; ++j) {
+            if (i != j)
+                edges.push_back(edge(i, j, 1, 1));
+        }
+    }
+    return DepGraph(num_ops, std::move(edges));
+}
+
 TEST(CircuitsTest, AcyclicGraphHasNoCircuits)
 {
-    DepGraph g(3);
-    g.addEdge(edge(0, 1));
-    g.addEdge(edge(1, 2));
+    const DepGraph g(3, {edge(0, 1), edge(1, 2)});
     EXPECT_TRUE(graph::enumerateElementaryCircuits(g).empty());
 }
 
 TEST(CircuitsTest, SelfLoopIsALengthOneCircuit)
 {
-    DepGraph g(1);
-    g.addEdge(edge(0, 0, 3, 1));
+    const DepGraph g(1, {edge(0, 0, 3, 1)});
     const auto circuits = graph::enumerateElementaryCircuits(g);
     ASSERT_EQ(circuits.size(), 1u);
     EXPECT_EQ(circuits[0].size(), 1u);
@@ -48,9 +62,7 @@ TEST(CircuitsTest, SelfLoopIsALengthOneCircuit)
 
 TEST(CircuitsTest, TwoVertexCycleFound)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 5, 0));
-    g.addEdge(edge(1, 0, 4, 1));
+    const DepGraph g(2, {edge(0, 1, 5, 0), edge(1, 0, 4, 1)});
     const auto circuits = graph::enumerateElementaryCircuits(g);
     ASSERT_EQ(circuits.size(), 1u);
     EXPECT_EQ(graph::circuitDelay(g, circuits[0]), 9);
@@ -59,10 +71,9 @@ TEST(CircuitsTest, TwoVertexCycleFound)
 
 TEST(CircuitsTest, ParallelEdgesYieldDistinctCircuits)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 1, 0));
-    g.addEdge(edge(1, 0, 1, 1));
-    g.addEdge(edge(1, 0, 7, 2)); // parallel back edge
+    const DepGraph g(2, {edge(0, 1, 1, 0),
+                         edge(1, 0, 1, 1),
+                         edge(1, 0, 7, 2)}); // parallel back edge
     const auto circuits = graph::enumerateElementaryCircuits(g);
     EXPECT_EQ(circuits.size(), 2u);
 }
@@ -72,26 +83,14 @@ TEST(CircuitsTest, CompleteGraphCircuitCount)
     // K4 (all ordered pairs) has 20 elementary circuits
     // (12 of length 2? no: C(4,2)=6 of length 2, 8 of length 3, 6 of
     // length 4 => 20).
-    DepGraph g(4);
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            if (i != j)
-                g.addEdge(edge(i, j, 1, 1));
-        }
-    }
+    const DepGraph g = completeGraph(4);
     const auto circuits = graph::enumerateElementaryCircuits(g);
     EXPECT_EQ(circuits.size(), 20u);
 }
 
 TEST(CircuitsTest, BudgetExceededThrows)
 {
-    DepGraph g(4);
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 4; ++j) {
-            if (i != j)
-                g.addEdge(edge(i, j, 1, 1));
-        }
-    }
+    const DepGraph g = completeGraph(4);
     EXPECT_THROW(graph::enumerateElementaryCircuits(g, 5),
                  support::Error);
 }

@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "graph/delay_model.hpp"
 #include "graph/graph_builder.hpp"
 #include "ir/loop_builder.hpp"
@@ -245,6 +250,40 @@ TEST_F(GraphBuilderTest, UnsupportedOpcodeRejected)
 
     const auto w = workloads::kernelByName("daxpy");
     EXPECT_THROW(graph::buildDepGraph(w.loop, m), support::Error);
+}
+
+TEST_F(GraphBuilderTest, CopiedAndMovedGraphsAnswerTheSameAdjacency)
+{
+    const auto w = workloads::kernelByName("hydro_frag");
+    const graph::DepGraph original = graph::buildDepGraph(w.loop, machine_);
+    const graph::DepGraph copied = original;
+    graph::DepGraph assigned(0, {});
+    assigned = original;
+    graph::DepGraph source = original;
+    const graph::DepGraph moved = std::move(source);
+
+    const auto expect_same = [](std::span<const graph::Dep> a,
+                                std::span<const graph::Dep> b) {
+        ASSERT_EQ(a.size(), b.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].other, b[i].other);
+            EXPECT_EQ(a[i].delay, b[i].delay);
+            EXPECT_EQ(a[i].distance, b[i].distance);
+        }
+    };
+    const std::vector<const graph::DepGraph*> graphs = {&copied, &assigned,
+                                                        &moved};
+    for (const graph::DepGraph* g : graphs) {
+        ASSERT_EQ(g->numVertices(), original.numVertices());
+        for (graph::VertexId v = 0; v < original.numVertices(); ++v) {
+            expect_same(g->inDeps(v), original.inDeps(v));
+            expect_same(g->outDeps(v), original.outDeps(v));
+            EXPECT_TRUE(std::ranges::equal(g->inEdges(v),
+                                           original.inEdges(v)));
+            EXPECT_TRUE(std::ranges::equal(g->outEdges(v),
+                                           original.outEdges(v)));
+        }
+    }
 }
 
 TEST_F(GraphBuilderTest, EdgeDensityIsAFewPerOp)

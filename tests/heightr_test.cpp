@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "graph/graph_builder.hpp"
 #include "graph/scc.hpp"
 #include "machine/cydra5.hpp"
@@ -28,23 +31,25 @@ edge(int from, int to, int delay, int distance, DepKind kind = DepKind::kFlow)
     return e;
 }
 
-/** Add the START/STOP pseudo edges the builder would create. */
-void
-addPseudo(DepGraph& g, const std::vector<int>& latencies)
+/** The graph over `edges` plus the START/STOP pseudo edges the builder
+    would create for ops with `latencies`. */
+DepGraph
+withPseudo(std::vector<DepEdge> edges, const std::vector<int>& latencies)
 {
-    for (int op = 0; op < g.numOps(); ++op) {
-        g.addEdge(edge(g.start(), op, 0, 0, DepKind::kPseudo));
-        g.addEdge(edge(op, g.stop(), latencies[op], 0, DepKind::kPseudo));
+    const int num_ops = static_cast<int>(latencies.size());
+    for (int op = 0; op < num_ops; ++op) {
+        edges.push_back(edge(num_ops, op, 0, 0, DepKind::kPseudo));
+        edges.push_back(
+            edge(op, num_ops + 1, latencies[op], 0, DepKind::kPseudo));
     }
+    return DepGraph(num_ops, std::move(edges));
 }
 
 TEST(HeightRTest, ChainHeightsAreSuffixDelays)
 {
     // 0 ->(4) 1 ->(5) 2, latencies 4,5,2.
-    DepGraph g(3);
-    g.addEdge(edge(0, 1, 4, 0));
-    g.addEdge(edge(1, 2, 5, 0));
-    addPseudo(g, {4, 5, 2});
+    const DepGraph g =
+        withPseudo({edge(0, 1, 4, 0), edge(1, 2, 5, 0)}, {4, 5, 2});
     const auto sccs = graph::findSccs(g);
     const auto h = sched::computeHeightR(g, sccs, 1);
     EXPECT_EQ(h[g.stop()], 0);
@@ -57,9 +62,7 @@ TEST(HeightRTest, ChainHeightsAreSuffixDelays)
 TEST(HeightRTest, InterIterationEdgesSubtractIiTimesDistance)
 {
     // P -> Q with distance 2: HeightR(P) = H(Q) + delay - II*2.
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 10, 2));
-    addPseudo(g, {1, 1});
+    const DepGraph g = withPseudo({edge(0, 1, 10, 2)}, {1, 1});
     const auto sccs = graph::findSccs(g);
     const auto h = sched::computeHeightR(g, sccs, 3);
     EXPECT_EQ(h[1], 1);
@@ -70,10 +73,8 @@ TEST(HeightRTest, InterIterationEdgesSubtractIiTimesDistance)
 TEST(HeightRTest, RecurrenceFixedPointConverges)
 {
     // Two-op circuit with total delay 9, distance 1, at II = 9 (tight).
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 5, 0));
-    g.addEdge(edge(1, 0, 4, 1));
-    addPseudo(g, {5, 4});
+    const DepGraph g =
+        withPseudo({edge(0, 1, 5, 0), edge(1, 0, 4, 1)}, {5, 4});
     const auto sccs = graph::findSccs(g);
     const auto h = sched::computeHeightR(g, sccs, 9);
     // h[1] = max(4, h[0] + 4 - 9); h[0] = max(5, h[1] + 5).
@@ -84,10 +85,8 @@ TEST(HeightRTest, RecurrenceFixedPointConverges)
 
 TEST(HeightRTest, PositiveCycleDetected)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 5, 0));
-    g.addEdge(edge(1, 0, 4, 1));
-    addPseudo(g, {5, 4});
+    const DepGraph g =
+        withPseudo({edge(0, 1, 5, 0), edge(1, 0, 4, 1)}, {5, 4});
     const auto sccs = graph::findSccs(g);
     // II = 8 < RecMII = 9: the recurrence has positive weight.
     EXPECT_THROW(sched::computeHeightR(g, sccs, 8), support::Error);
@@ -136,10 +135,9 @@ TEST(HeightRTest, TopologicalPropertyForAcyclicLoops)
 
 TEST(AcyclicHeightTest, IgnoresInterIterationEdges)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 4, 0));
-    g.addEdge(edge(1, 0, 50, 1)); // ignored (distance 1)
-    addPseudo(g, {4, 1});
+    // The distance-1 edge 1 -> 0 is ignored.
+    const DepGraph g =
+        withPseudo({edge(0, 1, 4, 0), edge(1, 0, 50, 1)}, {4, 1});
     const auto h = sched::computeAcyclicHeight(g);
     EXPECT_EQ(h[1], 1);
     EXPECT_EQ(h[0], 5);
@@ -149,10 +147,8 @@ TEST(AcyclicHeightTest, IgnoresInterIterationEdges)
 
 TEST(AcyclicHeightTest, ZeroDistanceCycleRejected)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 1, 0));
-    g.addEdge(edge(1, 0, 1, 0));
-    addPseudo(g, {1, 1});
+    const DepGraph g =
+        withPseudo({edge(0, 1, 1, 0), edge(1, 0, 1, 0)}, {1, 1});
     EXPECT_THROW(sched::computeAcyclicHeight(g), support::Error);
 }
 

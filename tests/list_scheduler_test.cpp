@@ -2,6 +2,7 @@
 
 #include <map>
 #include <set>
+#include <string>
 
 #include "graph/graph_builder.hpp"
 #include "machine/cydra5.hpp"
@@ -51,6 +52,38 @@ TEST(ListSchedulerTest, AllKernelsProduceLegalAcyclicSchedules)
         const auto graph = graph::buildDepGraph(w.loop, machine);
         const auto result = sched::listSchedule(w.loop, machine, graph);
         checkListSchedule(w.loop, machine, graph, result);
+    }
+}
+
+TEST(ListSchedulerTest, KernelLengthsOnCydra5ArePinned)
+{
+    // First-fit list-schedule lengths of the 39 corpus kernels; they
+    // feed minScheduleLength, so any change to FindTimeSlot over the
+    // linear reservation table shows here.
+    const std::map<std::string, int> expected = {
+        {"init_store", 4}, {"vec_copy", 24}, {"vec_scale", 29}, {"daxpy", 33},
+        {"dot_raw", 32}, {"dot_bs4", 32}, {"first_order_rec", 28},
+        {"tridiag", 33}, {"hydro_frag", 43}, {"state_frag", 45},
+        {"iccg_like", 33}, {"banded_inner", 32}, {"stencil3", 37},
+        {"mem_recurrence", 33}, {"cond_store", 26}, {"clip_select", 32},
+        {"max_reduce", 27}, {"argmax_like", 31}, {"div_kernel", 46},
+        {"sqrt_kernel", 50}, {"horner_rec", 27}, {"unrolled_daxpy2", 34},
+        {"predicated_mix", 29}, {"wide_tree", 39}, {"long_chain", 64},
+        {"multi_array", 25}, {"fat_loop", 51}, {"second_order_rec", 11},
+        {"avg_pair", 33}, {"abs_diff_sum", 35}, {"lfk9_predictors", 62},
+        {"lfk12_first_diff", 28}, {"lfk20_ordinates", 51}, {"fir8", 48},
+        {"complex_mult", 37}, {"lfk10_diff_predictors", 44},
+        {"dual_store", 24}, {"raw_counter", 4}, {"search_sum", 29},
+    };
+    const auto machine = machine::cydra5();
+    const auto library = workloads::kernelLibrary();
+    ASSERT_EQ(library.size(), expected.size());
+    for (const auto& w : library) {
+        const auto graph = graph::buildDepGraph(w.loop, machine);
+        const auto result = sched::listSchedule(w.loop, machine, graph);
+        ASSERT_EQ(expected.count(w.loop.name()), 1u) << w.loop.name();
+        EXPECT_EQ(result.scheduleLength, expected.at(w.loop.name()))
+            << w.loop.name();
     }
 }
 

@@ -10,6 +10,7 @@ namespace {
 
 using namespace ims;
 using ir::Opcode;
+using machine::LinearScheduleTable;
 using machine::ReservationTable;
 using machine::TableKind;
 
@@ -101,6 +102,48 @@ TEST(ReservationTableTest, SelfCollisionViaDelta)
     EXPECT_TRUE(block.collidesWith(block, 1));
     EXPECT_TRUE(block.collidesWith(block, 2));
     EXPECT_FALSE(block.collidesWith(block, 3));
+}
+
+TEST(LinearScheduleTableTest, ReservesAndConflictsAtIssuePlusUseTime)
+{
+    const ReservationTable table({{0, 0}, {2, 1}});
+    LinearScheduleTable cells(2);
+    EXPECT_EQ(cells.cycleSpan(), 0);
+    EXPECT_FALSE(cells.taken(0, 0));
+    cells.reserve(table, 3);
+    EXPECT_EQ(cells.cycleSpan(), 6);
+    EXPECT_TRUE(cells.taken(3, 0));
+    EXPECT_TRUE(cells.taken(5, 1));
+    EXPECT_FALSE(cells.taken(3, 1));
+    EXPECT_FALSE(cells.taken(5, 0));
+    // The table issued at t reads cells (t, 0) and (t + 2, 1).
+    EXPECT_TRUE(cells.conflicts(table, 3));
+    EXPECT_FALSE(cells.conflicts(table, 1));
+    EXPECT_FALSE(cells.conflicts(table, 5));
+    const ReservationTable late({{2, 1}});
+    EXPECT_TRUE(cells.conflicts(late, 3));
+    EXPECT_FALSE(cells.conflicts(late, 4));
+}
+
+TEST(LinearScheduleTableTest, GrowsPastItsSpanOnDemand)
+{
+    // 130 resources: three words per cycle.
+    LinearScheduleTable cells(130);
+    cells.reserve(ReservationTable({{0, 2}}), 0);
+    EXPECT_EQ(cells.cycleSpan(), 1);
+    cells.reserve(ReservationTable({{0, 129}, {1, 64}}), 100);
+    EXPECT_EQ(cells.cycleSpan(), 102);
+    EXPECT_TRUE(cells.taken(0, 2));
+    EXPECT_TRUE(cells.taken(100, 129));
+    EXPECT_TRUE(cells.taken(101, 64));
+    EXPECT_FALSE(cells.taken(100, 128));
+    EXPECT_FALSE(cells.taken(101, 0));
+    EXPECT_FALSE(cells.taken(50, 2));
+    // Cycles outside the span are free.
+    EXPECT_FALSE(cells.taken(-1, 2));
+    EXPECT_FALSE(cells.taken(102, 64));
+    EXPECT_FALSE(cells.conflicts(ReservationTable({{5, 129}}), 100));
+    EXPECT_TRUE(cells.conflicts(ReservationTable({{5, 129}}), 95));
 }
 
 TEST(MachineBuilderTest, BuildsAndQueries)

@@ -105,8 +105,7 @@ TEST_F(ResMiiTest, SortsByAlternativeCount)
 
 TEST(MinDistTest, InitializationUsesDelayMinusIiTimesDistance)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 7, 2));
+    const DepGraph g(2, {edge(0, 1, 7, 2)});
     const mii::MinDistMatrix m(g, std::vector<graph::VertexId>{0, 1}, 3);
     EXPECT_EQ(m.atVertex(0, 1), 7 - 3 * 2);
     EXPECT_EQ(m.atVertex(1, 0), mii::MinDistMatrix::kMinusInf);
@@ -114,18 +113,14 @@ TEST(MinDistTest, InitializationUsesDelayMinusIiTimesDistance)
 
 TEST(MinDistTest, ClosureComposesPaths)
 {
-    DepGraph g(3);
-    g.addEdge(edge(0, 1, 4, 0));
-    g.addEdge(edge(1, 2, 5, 0));
+    const DepGraph g(3, {edge(0, 1, 4, 0), edge(1, 2, 5, 0)});
     const mii::MinDistMatrix m(g, {0, 1, 2}, 1);
     EXPECT_EQ(m.atVertex(0, 2), 9);
 }
 
 TEST(MinDistTest, ParallelEdgesTakeMax)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 2, 0));
-    g.addEdge(edge(0, 1, 9, 1));
+    const DepGraph g(2, {edge(0, 1, 2, 0), edge(0, 1, 9, 1)});
     const mii::MinDistMatrix m(g, {0, 1}, 4);
     EXPECT_EQ(m.atVertex(0, 1), 5); // max(2, 9-4)
 }
@@ -133,9 +128,7 @@ TEST(MinDistTest, ParallelEdgesTakeMax)
 TEST(MinDistTest, DiagonalDetectsInfeasibleIi)
 {
     // Circuit delay 9, distance 1: feasible iff II >= 9.
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 5, 0));
-    g.addEdge(edge(1, 0, 4, 1));
+    const DepGraph g(2, {edge(0, 1, 5, 0), edge(1, 0, 4, 1)});
     for (int ii = 1; ii <= 12; ++ii) {
         const mii::MinDistMatrix m(g, {0, 1}, ii);
         EXPECT_EQ(m.feasible(), ii >= 9) << "II " << ii;
@@ -152,9 +145,7 @@ TEST(MinDistTest, CountersCountInvocationsAndInnerSteps)
     // productive (i, k, j) combinations — iterations skipped because a
     // path half is -infinity are no-ops and are not billed (Table 4
     // counts work, not loop trips; see docs/api.md).
-    DepGraph g(3);
-    g.addEdge(edge(0, 1, 1, 0));
-    g.addEdge(edge(1, 2, 1, 0));
+    const DepGraph g(3, {edge(0, 1, 1, 0), edge(1, 2, 1, 0)});
     support::Counters counters;
     const mii::MinDistMatrix m(g, {0, 1, 2}, 1, &counters);
     EXPECT_EQ(counters.minDistInvocations, 1u);
@@ -167,10 +158,9 @@ TEST(MinDistTest, RecomputeMatchesFreshConstruction)
     // Reusing one matrix across candidate IIs must agree entry-for-entry
     // with building a fresh matrix per II (the RecMII search relies on
     // this).
-    DepGraph g(3);
-    g.addEdge(edge(0, 1, 3, 0));
-    g.addEdge(edge(1, 2, 4, 0));
-    g.addEdge(edge(2, 0, 5, 2));
+    const DepGraph g(3, {edge(0, 1, 3, 0),
+                         edge(1, 2, 4, 0),
+                         edge(2, 0, 5, 2)});
     mii::MinDistMatrix reused(g, {0, 1, 2}, 1);
     for (int ii = 1; ii <= 8; ++ii) {
         reused.recompute(ii);
@@ -187,21 +177,18 @@ TEST(MinDistTest, RecomputeMatchesFreshConstruction)
 
 TEST(RecMiiTest, SelfLoopBound)
 {
-    DepGraph g(1);
-    g.addEdge(edge(0, 0, 3, 1));
+    const DepGraph g(1, {edge(0, 0, 3, 1)});
     const auto sccs = graph::findSccs(g);
     EXPECT_EQ(mii::computeRecMiiPerScc(g, sccs, 1), 3);
     // Back-substituted: distance 3 -> ceil(3/3) = 1.
-    DepGraph g2(1);
-    g2.addEdge(edge(0, 0, 3, 3));
+    const DepGraph g2(1, {edge(0, 0, 3, 3)});
     const auto sccs2 = graph::findSccs(g2);
     EXPECT_EQ(mii::computeRecMiiPerScc(g2, sccs2, 1), 1);
 }
 
 TEST(RecMiiTest, StartCandidateIsAFloor)
 {
-    DepGraph g(1);
-    g.addEdge(edge(0, 0, 3, 1));
+    const DepGraph g(1, {edge(0, 0, 3, 1)});
     const auto sccs = graph::findSccs(g);
     // Production protocol never looks below the ResMII floor.
     EXPECT_EQ(mii::computeRecMiiPerScc(g, sccs, 7), 7);
@@ -209,9 +196,7 @@ TEST(RecMiiTest, StartCandidateIsAFloor)
 
 TEST(RecMiiTest, ZeroDistanceCycleRejected)
 {
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 1, 0));
-    g.addEdge(edge(1, 0, 1, 0));
+    const DepGraph g(2, {edge(0, 1, 1, 0), edge(1, 0, 1, 0)});
     const auto sccs = graph::findSccs(g);
     EXPECT_THROW(mii::computeRecMiiPerScc(g, sccs, 1), support::Error);
     EXPECT_THROW(mii::computeRecMiiFromCircuits(g), support::Error);
@@ -220,9 +205,7 @@ TEST(RecMiiTest, ZeroDistanceCycleRejected)
 TEST(RecMiiTest, FractionalBoundRoundsUp)
 {
     // Delay 7 over distance 2: RecMII = ceil(7/2) = 4.
-    DepGraph g(2);
-    g.addEdge(edge(0, 1, 3, 0));
-    g.addEdge(edge(1, 0, 4, 2));
+    const DepGraph g(2, {edge(0, 1, 3, 0), edge(1, 0, 4, 2)});
     const auto sccs = graph::findSccs(g);
     EXPECT_EQ(mii::computeRecMiiPerScc(g, sccs, 1), 4);
     EXPECT_EQ(mii::computeRecMiiFromCircuits(g), 4);

@@ -28,9 +28,7 @@ edge(int from, int to, int delay = 1, int distance = 0)
 
 TEST(SccTest, ChainHasOnlyTrivialComponents)
 {
-    DepGraph g(3);
-    g.addEdge(edge(0, 1));
-    g.addEdge(edge(1, 2));
+    const DepGraph g(3, {edge(0, 1), edge(1, 2)});
     const auto sccs = graph::findSccs(g);
     EXPECT_EQ(sccs.numComponents(), 5); // 3 ops + START + STOP
     EXPECT_EQ(sccs.numNonTrivial(), 0);
@@ -38,11 +36,10 @@ TEST(SccTest, ChainHasOnlyTrivialComponents)
 
 TEST(SccTest, CycleFormsOneComponent)
 {
-    DepGraph g(4);
-    g.addEdge(edge(0, 1));
-    g.addEdge(edge(1, 2));
-    g.addEdge(edge(2, 0, 1, 1)); // back edge
-    g.addEdge(edge(2, 3));
+    const DepGraph g(4, {edge(0, 1),
+                         edge(1, 2),
+                         edge(2, 0, 1, 1), // back edge
+                         edge(2, 3)});
     const auto sccs = graph::findSccs(g);
     EXPECT_EQ(sccs.numNonTrivial(), 1);
     const int c = sccs.componentOf(0);
@@ -56,9 +53,7 @@ TEST(SccTest, SelfLoopIsStillTrivialPerThePaper)
 {
     // §4.2: "a non-trivial SCC is one containing more than one operation";
     // an op with only a reflexive edge stays trivial.
-    DepGraph g(2);
-    g.addEdge(edge(0, 0, 3, 1));
-    g.addEdge(edge(0, 1));
+    const DepGraph g(2, {edge(0, 0, 3, 1), edge(0, 1)});
     const auto sccs = graph::findSccs(g);
     EXPECT_EQ(sccs.numNonTrivial(), 0);
 }

@@ -11,6 +11,7 @@
 #include <future>
 #include <limits>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -362,6 +363,48 @@ TEST(ScheduleServiceTest, StructuredErrorsForBadRequests)
     response = server.scheduleNow(malformed);
     EXPECT_EQ(response.status, service::ServiceResponse::Status::kError);
     EXPECT_EQ(response.errorCode, "service.bad_loop");
+    EXPECT_EQ(server.stats().errors, 2u);
+}
+
+/** A sink that throws a non-support exception at the end of a run. */
+class ThrowingSink : public support::TelemetrySink
+{
+  public:
+    void onPhase(const support::PhaseSample&) override {}
+
+    void
+    onCounters(const support::Counters&) override
+    {
+        throw std::runtime_error("sink failed");
+    }
+};
+
+TEST(ScheduleServiceTest, OtherExceptionsAnswerInternalAndKeepServing)
+{
+    // The facade reports counters to the sink after its own try block,
+    // so the runtime_error reaches the service: inline through
+    // scheduleNow and on a worker thread through submit.
+    ThrowingSink sink;
+    service::ScheduleService server(
+        service::ServiceOptions{}.withThreads(1));
+    service::ServiceRequest request;
+    request.loopText = ir::printLoop(workloads::kernelByName("daxpy").loop);
+    request.options = core::PipelinerOptions{}.withTelemetry(&sink);
+
+    const auto inline_response = server.scheduleNow(request);
+    EXPECT_EQ(inline_response.status,
+              service::ServiceResponse::Status::kError);
+    EXPECT_EQ(inline_response.errorCode, "service.internal");
+    EXPECT_EQ(inline_response.errorMessage, "sink failed");
+
+    const auto queued_response = server.submit(request).get();
+    EXPECT_EQ(queued_response.status,
+              service::ServiceResponse::Status::kError);
+    EXPECT_EQ(queued_response.errorCode, "service.internal");
+
+    request.options.reset();
+    EXPECT_EQ(server.submit(request).get().status,
+              service::ServiceResponse::Status::kOk);
     EXPECT_EQ(server.stats().errors, 2u);
 }
 

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "support/error.hpp"
 #include "support/hash.hpp"
+#include "support/parallel.hpp"
 #include "support/regression.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
@@ -212,6 +217,36 @@ TEST(HashTest, PrecomputedTextMatchesStreamingFnv1a)
                 << "text length " << length << ", prefix " << prefix;
         }
     }
+}
+
+TEST(ParallelForTest, RunsEveryIndexExactlyOnce)
+{
+    constexpr std::size_t kCount = 257; // not a multiple of the pool size
+    std::vector<std::atomic<int>> runs(kCount);
+    parallelFor(kCount, 4, [&](std::size_t index) { ++runs[index]; });
+    for (std::size_t i = 0; i < kCount; ++i)
+        EXPECT_EQ(runs[i].load(), 1) << i;
+}
+
+TEST(ParallelForTest, FinishesWhenOneItemWaitsForAllOthers)
+{
+    // Item 0 blocks until every other item has run, so its worker claims
+    // nothing more and the other worker must run items 1..3. Handing each
+    // worker a fixed share of the indices up front would deadlock here.
+    constexpr std::size_t kCount = 4;
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    std::size_t done = 0;
+    parallelFor(kCount, 2, [&](std::size_t index) {
+        std::unique_lock<std::mutex> lock(mutex);
+        if (index == 0) {
+            done_cv.wait(lock, [&] { return done == kCount - 1; });
+        } else {
+            ++done;
+            done_cv.notify_all();
+        }
+    });
+    EXPECT_EQ(done, kCount - 1);
 }
 
 TEST(TableTest, RendersHeaderRuleAndRows)

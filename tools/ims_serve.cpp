@@ -41,6 +41,7 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <exception>
 #include <fstream>
 #include <future>
 #include <iostream>
@@ -248,7 +249,17 @@ main(int argc, char** argv)
     const auto flush_front = [&]() {
         const service::ServiceResponse response = inflight.front().get();
         inflight.pop_front();
-        std::cout << resultLine(response) << "\n";
+        std::string result;
+        try {
+            // The fingerprint renders the whole report, which can fail
+            // (std::bad_alloc) on a huge schedule; answer, keep serving.
+            result = resultLine(response);
+        } catch (const std::exception& error) {
+            std::cout << "error service.internal " << error.what() << "\n"
+                      << std::flush;
+            return;
+        }
+        std::cout << result << "\n";
         if (response.status == service::ServiceResponse::Status::kOk)
             std::cout << metaLine(response) << "\n";
         std::cout.flush();
